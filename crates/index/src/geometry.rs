@@ -22,10 +22,8 @@
 //! like the naive loop. That split is what makes the chunked code
 //! bit-identical to the reference implementations in [`scalar`]: per-element
 //! IEEE operations are deterministic, and the reduction order is never
-//! reassociated. The `simd` cargo feature (nightly, `std::simd`) swaps the
-//! element-wise part for explicit `f64x4` operations with the same
-//! structure; the property suite in `tests/geometry_equivalence.rs` pins
-//! all three paths together on random and adversarial boxes.
+//! reassociated. The property suite in `tests/geometry_equivalence.rs` pins
+//! the two paths together on random and adversarial boxes.
 //!
 //! Inputs are assumed NaN-free with no negative zeros (the [`Rect`]
 //! constructor enforces ordered, non-NaN corners); outside that domain the
@@ -41,7 +39,7 @@ pub const LANE_WIDTH: usize = 4;
 
 /// Naive scalar reference implementations of the `coords_*` primitives.
 ///
-/// These are the semantics the chunked (and `simd`-feature) fast paths
+/// These are the semantics the chunked fast paths
 /// must reproduce **bit-for-bit** on NaN-free inputs; the equivalence
 /// property suite compares against them directly. They are also the
 /// clearest statement of what each metric computes, so they double as
@@ -137,10 +135,9 @@ pub mod scalar {
     }
 }
 
-/// Chunked element-wise implementations (default build): plain std code
+/// Chunked element-wise implementations: plain std code
 /// shaped so the optimizer vectorizes each [`LANE_WIDTH`]-wide block, with
 /// in-order horizontal reductions for bit-identity with [`scalar`].
-#[cfg(not(feature = "simd"))]
 mod lanes {
     use super::LANE_WIDTH as W;
 
@@ -320,174 +317,6 @@ mod lanes {
     }
 }
 
-/// Explicit `std::simd` implementations (nightly, `--features simd`):
-/// identical chunk structure to the default build — element-wise `f64x4`
-/// operations, in-order horizontal reductions — so results stay
-/// bit-identical to [`scalar`].
-#[cfg(feature = "simd")]
-mod lanes {
-    use super::LANE_WIDTH as W;
-    use std::simd::cmp::SimdPartialOrd;
-    use std::simd::f64x4;
-    use std::simd::num::SimdFloat;
-
-    #[inline]
-    fn load(c: &[f64; W]) -> f64x4 {
-        f64x4::from_array(*c)
-    }
-
-    #[inline]
-    pub fn area(lo: &[f64], hi: &[f64]) -> f64 {
-        let (lc, lt) = lo.as_chunks::<W>();
-        let (hc, ht) = hi.as_chunks::<W>();
-        let mut acc = 1.0;
-        for (l, h) in lc.iter().zip(hc) {
-            let e = (load(h) - load(l)).to_array();
-            for &x in &e {
-                acc *= x;
-            }
-        }
-        for (l, h) in lt.iter().zip(ht) {
-            acc *= h - l;
-        }
-        acc
-    }
-
-    #[inline]
-    pub fn margin(lo: &[f64], hi: &[f64]) -> f64 {
-        let (lc, lt) = lo.as_chunks::<W>();
-        let (hc, ht) = hi.as_chunks::<W>();
-        let mut acc = 0.0;
-        for (l, h) in lc.iter().zip(hc) {
-            let e = (load(h) - load(l)).to_array();
-            for &x in &e {
-                acc += x;
-            }
-        }
-        for (l, h) in lt.iter().zip(ht) {
-            acc += h - l;
-        }
-        acc
-    }
-
-    #[inline]
-    pub fn intersect(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bool {
-        let (alc, alt) = alo.as_chunks::<W>();
-        let (ahc, aht) = ahi.as_chunks::<W>();
-        let (blc, blt) = blo.as_chunks::<W>();
-        let (bhc, bht) = bhi.as_chunks::<W>();
-        // Chunks short-circuit, as in the default build: early exit
-        // cannot change an order-free boolean reduction.
-        for (((al, ah), bl), bh) in alc.iter().zip(ahc).zip(blc).zip(bhc) {
-            let sep = load(al).simd_gt(load(bh)) | load(bl).simd_gt(load(ah));
-            if sep.any() {
-                return false;
-            }
-        }
-        for i in 0..alt.len() {
-            if alt[i] > bht[i] || blt[i] > aht[i] {
-                return false;
-            }
-        }
-        true
-    }
-
-    #[inline]
-    pub fn contain(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bool {
-        let (alc, alt) = alo.as_chunks::<W>();
-        let (ahc, aht) = ahi.as_chunks::<W>();
-        let (blc, blt) = blo.as_chunks::<W>();
-        let (bhc, bht) = bhi.as_chunks::<W>();
-        for (((al, ah), bl), bh) in alc.iter().zip(ahc).zip(blc).zip(bhc) {
-            let out = load(al).simd_gt(load(bl)) | load(bh).simd_gt(load(ah));
-            if out.any() {
-                return false;
-            }
-        }
-        for i in 0..alt.len() {
-            if alt[i] > blt[i] || bht[i] > aht[i] {
-                return false;
-            }
-        }
-        true
-    }
-
-    #[inline]
-    pub fn overlap_area(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
-        let (alc, alt) = alo.as_chunks::<W>();
-        let (ahc, aht) = ahi.as_chunks::<W>();
-        let (blc, blt) = blo.as_chunks::<W>();
-        let (bhc, bht) = bhi.as_chunks::<W>();
-        let mut acc = 1.0;
-        let mut empty = false;
-        for (((al, ah), bl), bh) in alc.iter().zip(ahc).zip(blc).zip(bhc) {
-            let glo = load(al).simd_max(load(bl));
-            let ghi = load(ah).simd_min(load(bh));
-            empty |= ghi.simd_le(glo).any();
-            let e = (ghi - glo).to_array();
-            for &x in &e {
-                acc *= x;
-            }
-        }
-        for i in 0..alt.len() {
-            let lo = alt[i].max(blt[i]);
-            let hi = aht[i].min(bht[i]);
-            empty |= hi <= lo;
-            acc *= hi - lo;
-        }
-        if empty {
-            0.0
-        } else {
-            acc
-        }
-    }
-
-    #[inline]
-    pub fn union_area(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
-        let (alc, alt) = alo.as_chunks::<W>();
-        let (ahc, aht) = ahi.as_chunks::<W>();
-        let (blc, blt) = blo.as_chunks::<W>();
-        let (bhc, bht) = bhi.as_chunks::<W>();
-        let mut acc = 1.0;
-        for (((al, ah), bl), bh) in alc.iter().zip(ahc).zip(blc).zip(bhc) {
-            let e = (load(ah).simd_max(load(bh)) - load(al).simd_min(load(bl))).to_array();
-            for &x in &e {
-                acc *= x;
-            }
-        }
-        for i in 0..alt.len() {
-            acc *= aht[i].max(bht[i]) - alt[i].min(blt[i]);
-        }
-        acc
-    }
-
-    #[inline]
-    pub fn min_dist_point_sqr(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
-        let (lc, lt) = lo.as_chunks::<W>();
-        let (hc, ht) = hi.as_chunks::<W>();
-        let (pc, pt) = p.as_chunks::<W>();
-        let zero = f64x4::splat(0.0);
-        let mut acc = 0.0;
-        for ((l, h), q) in lc.iter().zip(hc).zip(pc) {
-            let lv = load(l);
-            let hv = load(h);
-            let qv = load(q);
-            let d = (lv - qv).simd_max(zero) + (qv - hv).simd_max(zero);
-            let e = (d * d).to_array();
-            for &x in &e {
-                acc += x;
-            }
-        }
-        for i in 0..lt.len() {
-            let below = (lt[i] - pt[i]).max(0.0);
-            let above = (pt[i] - ht[i]).max(0.0);
-            let d = below + above;
-            acc += d * d;
-        }
-        acc
-    }
-}
-
 /// Volume (product of extents) of the box `[lo, hi]`. Zero for degenerate
 /// boxes.
 #[inline]
@@ -602,8 +431,8 @@ fn scan_intersecting_fixed<const D: usize, F: FnMut(usize)>(
 }
 
 /// Runtime-dimensionality fallback of [`coords_scan_intersecting`]:
-/// defers to the per-entry primitive (chunked or `std::simd`, per the
-/// build) so uncommon dimensionalities keep the lane-width fast path.
+/// defers to the chunked per-entry primitive so uncommon dimensionalities
+/// keep the lane-width fast path.
 fn scan_intersecting_generic<F: FnMut(usize)>(
     coords: &[f64],
     dims: usize,

@@ -15,10 +15,8 @@
 //! * best-first k-NN search ([`knn`], Roussopoulos et al. \[17\]).
 //!
 //! The geometry scan primitives process bounds in fixed-width chunks the
-//! optimizer can vectorize; building with `--features simd` (nightly)
-//! swaps in explicit `std::simd` kernels with bit-identical results (see
-//! [`geometry`] for the determinism contract).
-#![cfg_attr(feature = "simd", feature(portable_simd))]
+//! optimizer can vectorize, with results bit-identical to a naive scalar
+//! reference (see [`geometry`] for the determinism contract).
 
 pub mod bulk;
 pub mod geometry;

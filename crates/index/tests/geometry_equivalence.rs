@@ -1,5 +1,5 @@
-//! Bit-identity of the chunked (and, under `--features simd`, the
-//! `std::simd`) geometry primitives against the naive scalar reference.
+//! Bit-identity of the chunked geometry primitives against the naive
+//! scalar reference.
 //!
 //! The `coords_*` scan primitives process bounds in fixed-width chunks;
 //! the contract (see `geometry`'s module docs) is that on NaN-free,

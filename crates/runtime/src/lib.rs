@@ -2,25 +2,29 @@
 //! runtime over [`stardust_core`]'s `UnifiedMonitor`.
 //!
 //! The core crate implements the paper's single-threaded monitor; this
-//! crate scales it out by **partitioning streams across worker shards**.
-//! Stream `g` (of `M`) lives on shard `g mod S` and is monitored there
-//! as local stream `g div S`; each shard owns a private monitor, so no
-//! locks guard monitor state and no summaries are shared. Cross-shard
-//! correlated pairs are still covered: shards ship compact
-//! sliding-window sketches to the collector, which prunes distant pairs
-//! (provably no false dismissals) and verifies the rest exactly — see
-//! [`ShardedRuntime::correlated_pairs`].
+//! crate scales it out by **partitioning streams into groups placed on
+//! worker shards**. Stream `g` (of `M`) belongs to group `g mod G` and is
+//! monitored there as local stream `g div G`; each group owns a private
+//! monitor, so no locks guard monitor state and no summaries are shared.
+//! An epoch-versioned routing table places every group on exactly one
+//! worker slot (initially group `i` on slot `i mod S`) and moves groups
+//! between slots at runtime ([`ShardedRuntime::split_shard`] /
+//! [`ShardedRuntime::merge_shard`]). Cross-shard correlated pairs are
+//! still covered: shards ship compact sliding-window sketches to the
+//! collector, which prunes distant pairs (provably no false dismissals)
+//! and verifies the rest exactly — see [`ShardedRuntime::correlated_pairs`].
 //!
 //! ```text
 //!            Batch { (stream, value)… }
-//!                      │ split by g mod S
+//!                      │ split by group (g mod G), routed by the
+//!                      │ epoch-versioned group → slot table
 //!        ┌─────────────┼─────────────┐
 //!        ▼             ▼             ▼
 //!   [bounded q]   [bounded q]   [bounded q]    ← backpressure here
 //!        │             │             │
 //!   ┌────▼────┐   ┌────▼────┐   ┌────▼────┐
-//!   │ shard 0 │   │ shard 1 │   │ shard 2 │    one thread + one
-//!   │ monitor │   │ monitor │   │ monitor │    UnifiedMonitor each
+//!   │ slot 0  │   │ slot 1  │   │ slot 2  │    one thread each, owning
+//!   │ groups… │   │ groups… │   │ groups… │    one UnifiedMonitor per group
 //!   └────┬────┘   └────┬────┘   └────┬────┘
 //!        └─────────────┼─────────────┘
 //!                      ▼
@@ -33,11 +37,13 @@
 //! backpressure contract.
 //!
 //! **Fault tolerance.** Each shard's queue outlives its worker thread.
-//! With [`RuntimeConfig::recovery`] enabled (the default), batches are
-//! journaled ahead of processing, monitors are snapshotted on a
-//! cadence, and a supervisor thread restores any crashed worker from
-//! its shard's last snapshot — replaying the journaled suffix with
-//! exactly-once event delivery. [`FaultPlan`] injects deterministic
+//! Batches are always journaled ahead of processing, per group, and
+//! monitors are snapshotted every [`RuntimeConfig::snapshot_every`]
+//! appends. One replay — restore the last snapshot, replay the journaled
+//! suffix, suppress the events already delivered — rebuilds a group
+//! after a worker crash, when it migrates, and when
+//! [`ShardedRuntime::open`] recovers it from disk, with exactly-once
+//! event delivery each time. [`FaultPlan`] injects deterministic
 //! crashes, stalls, and slow drains for testing this machinery.
 //!
 //! # Example
@@ -88,8 +94,8 @@ pub use fault::{DiskFault, DiskFaultKind, DiskFile, Fault, FaultKind, FaultPlan,
 pub use persist::crc32::crc32;
 pub use persist::{PersistConfig, RecoveryError, RecoveryReport, ShardRecoveryReport, SyncPolicy};
 pub use runtime::{
-    sort_events, Batch, PartialSubmit, QueueFull, RebalanceAction, RecoveryPolicy, RuntimeConfig,
-    ShardedRuntime, ShutdownReport,
+    sort_events, Batch, PartialSubmit, QueueFull, RebalanceAction, RuntimeConfig, ShardedRuntime,
+    ShutdownReport,
 };
 pub use shard::ClassStats;
 pub use spec::{AggregateSpec, CorrelationSpec, MonitorSpec, TrendPattern, TrendSpec};
@@ -129,9 +135,6 @@ pub enum RuntimeError {
         /// Restarts observed inside the window when the cap tripped.
         restarts: u32,
     },
-    /// Shard split/merge needs the recovery journal as its handoff
-    /// mechanism; the runtime was launched with `recovery: None`.
-    MigrationUnsupported,
     /// A rebalancing call was given arguments the current layout cannot
     /// satisfy (out-of-range slot or group, a group not owned by the
     /// source, or a group already mid-migration).
@@ -158,9 +161,6 @@ impl std::fmt::Display for RuntimeError {
                 f,
                 "shard {shard} fail-stopped after {restarts} restarts inside the storm window"
             ),
-            RuntimeError::MigrationUnsupported => {
-                f.write_str("shard split/merge requires recovery journaling (recovery: None)")
-            }
             RuntimeError::Rebalance { detail } => write!(f, "rebalance rejected: {detail}"),
         }
     }

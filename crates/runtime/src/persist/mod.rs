@@ -153,6 +153,17 @@ pub enum RecoveryError {
         /// Shards the runtime was configured with.
         expected: usize,
     },
+    /// A WAL acks more delivered events than replaying its batches
+    /// regenerates. Suppressing that many would swallow events that
+    /// were never delivered, so recovery refuses.
+    AckShortfall {
+        /// The shard (stream group) involved.
+        shard: usize,
+        /// Delivered events the WAL acks past its base snapshot.
+        acked: u64,
+        /// Events the replay of its batches regenerated.
+        regenerated: u64,
+    },
 }
 
 impl RecoveryError {
@@ -191,6 +202,11 @@ impl std::fmt::Display for RecoveryError {
                 f,
                 "{} holds files for {found} shards but the runtime is configured for {expected}",
                 dir.display()
+            ),
+            RecoveryError::AckShortfall { shard, acked, regenerated } => write!(
+                f,
+                "shard {shard}'s WAL acks {acked} delivered events but its replay regenerates \
+                 only {regenerated}"
             ),
         }
     }
@@ -1078,6 +1094,40 @@ mod tests {
             "the live gen-1 segment is superseded by the adopted snapshot"
         );
         assert!(paths.wal_prev.exists(), "superseded segment was archived, not deleted");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ack_beyond_replayed_events_is_a_typed_error() {
+        use crate::{AggregateSpec, MonitorSpec, RuntimeConfig, RuntimeError, ShardedRuntime};
+        use stardust_core::query::aggregate::WindowSpec;
+        use stardust_core::transform::TransformKind;
+
+        // A checksum-valid WAL whose ack claims five delivered events,
+        // though its one batch regenerates none under this spec.
+        let dir = tempdir("shortfall");
+        let mut d = disk(&dir, None);
+        append_one(&mut d, &[(0, 1.0), (0, 2.0)]).unwrap();
+        d.append_ack(5);
+        drop(d);
+        let spec = MonitorSpec::new(8, 3, 10.0).with_aggregates(AggregateSpec {
+            transform: TransformKind::Sum,
+            windows: vec![WindowSpec { window: 16, threshold: 1e9 }],
+            box_capacity: 4,
+        });
+        let config = RuntimeConfig { shards: 1, ..RuntimeConfig::default() };
+        let err = ShardedRuntime::open(&spec, 1, config, PersistConfig::new(&dir)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RuntimeError::Recovery(RecoveryError::AckShortfall {
+                    shard: 0,
+                    acked: 5,
+                    regenerated: 0
+                })
+            ),
+            "got {err:?}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

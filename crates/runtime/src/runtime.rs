@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use stardust_core::normalize;
 use stardust_core::sketch::{SketchProjection, PRUNE_SLACK};
 use stardust_core::stream::StreamId;
-use stardust_core::unified::{Event, UnifiedMonitor};
+use stardust_core::unified::Event;
 
 use crate::fault::FaultPlan;
 use crate::persist::{self, PersistConfig, RecoveryError, RecoveryReport, ShardRecoveryReport};
@@ -21,10 +21,9 @@ use crate::pool;
 use crate::queue::{AdmitError, BoundedQueue, TryAdmitError};
 use crate::routing::{GroupRoute, Routing};
 use crate::shard::{
-    remap_event, Board, DeathNotice, GroupState, QueryReply, QueryRequest, ShardMsg, SketchBoard,
-    Worker,
+    Board, DeathNotice, GroupState, QueryReply, QueryRequest, ShardMsg, SketchBoard, Worker,
 };
-use crate::snapshot::ShardRecovery;
+use crate::snapshot::{RebuildError, Replay, ShardRecovery};
 use crate::spec::MonitorSpec;
 use crate::stats::{CrossCorrStats, RuntimeStats, ShardCounters};
 use crate::telemetry::RuntimeTelemetry;
@@ -129,22 +128,6 @@ pub struct PartialSubmit {
     pub accepted: usize,
 }
 
-/// Crash-recovery tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Snapshot each shard's monitor after this many journaled appends;
-    /// crash recovery then replays at most this many values. `0` never
-    /// snapshots — recovery replays the shard's entire input from the
-    /// journal (simplest, but the journal grows without bound).
-    pub snapshot_every: u64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy { snapshot_every: 1024 }
-    }
-}
-
 /// Runtime tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -177,12 +160,14 @@ pub struct RuntimeConfig {
     /// values. When a queue is full, `try_*` reports [`QueueFull`] and
     /// the blocking variants wait — that is the backpressure contract.
     pub queue_capacity: usize,
-    /// Crash recovery. `Some` (the default) journals every batch,
-    /// snapshots on the policy's cadence, and runs a supervisor thread
-    /// that restores crashed shard workers with exactly-once event
-    /// delivery. `None` disables all of it: a crashed shard is terminal
-    /// and its producers see [`RuntimeError::Disconnected`].
-    pub recovery: Option<RecoveryPolicy>,
+    /// Snapshot each group's monitor after this many journaled appends
+    /// (default 1024); crash recovery and migration then replay at most
+    /// this many values. `0` never snapshots — recovery replays the
+    /// group's entire input from the journal (simplest, but the journal
+    /// grows without bound). Every batch is journaled either way: the
+    /// journal is what crash recovery, migration and [`ShardedRuntime::open`]
+    /// rebuild a group from.
+    pub snapshot_every: u64,
     /// Deterministic fault injection (tests, chaos drills). `None` — the
     /// default — costs one pointer check per append.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -218,7 +203,7 @@ impl Default for RuntimeConfig {
             max_restarts_in_window: 64,
             restart_window: Duration::from_secs(10),
             queue_capacity: 64,
-            recovery: Some(RecoveryPolicy::default()),
+            snapshot_every: 1024,
             fault_plan: None,
             telemetry: None,
             sketch_cadence: 1,
@@ -288,8 +273,8 @@ struct Shared {
     /// Resolved collector-side worker count for query fan-out (≥ 1).
     intra_query_threads: usize,
     /// Per-**group** recovery journals (a group's journal travels with
-    /// it across slots); `None` when recovery is disabled.
-    recovery: Option<Vec<Arc<ShardRecovery>>>,
+    /// it across slots).
+    recovery: Vec<Arc<ShardRecovery>>,
     board: Arc<Board>,
     handles: Mutex<Vec<Option<JoinHandle<()>>>>,
     /// The collector sender respawned workers clone; dropped (set to
@@ -328,15 +313,147 @@ impl Shared {
             telemetry: self.runtime_telemetry.clone(),
         };
         let board = Arc::clone(&self.board);
-        // Without a supervisor a death is terminal: the dying worker
-        // must close its queue so producers fail fast instead of
-        // parking forever.
-        let close_on_death =
-            if self.recovery.is_none() { Some(Arc::clone(&self.queues[slot])) } else { None };
         std::thread::Builder::new().name(format!("stardust-shard-{slot}")).spawn(move || {
-            let mut notice = DeathNotice { shard: slot, board, clean: false, close_on_death };
+            let mut notice = DeathNotice { shard: slot, board, clean: false };
             worker.run(&mut notice);
         })
+    }
+
+    /// Builds group `group`'s live state from its journal — the one
+    /// construction path behind launch, `open()`, crash restore and
+    /// migration. [`ShardRecovery::rebuild_state`] restores the journal's
+    /// snapshot (or builds from the spec) and replays the suffix with
+    /// delivered events suppressed; the monitor is then attached to
+    /// telemetry for its live phase (the replay ran detached, so
+    /// replayed appends are never counted twice).
+    fn rebuild_group(
+        &self,
+        group: usize,
+        events: &Sender<Vec<Event>>,
+    ) -> Result<(GroupState, Replay), RebuildError> {
+        let rec = &self.recovery[group];
+        let (mut monitor, replay) = rec.rebuild_state(
+            &self.spec,
+            self.n_locals[group],
+            group,
+            self.n_groups,
+            events,
+            &self.sketches,
+            self.sketch_cadence,
+            &self.runtime_telemetry,
+        )?;
+        if let (Some(registry), Some(m)) = (&self.telemetry, monitor.as_mut()) {
+            m.attach_telemetry(registry);
+        }
+        let state = GroupState {
+            n_locals: self.n_locals[group],
+            monitor,
+            recovery: Arc::clone(rec),
+            appends: replay.appends,
+            emitted: rec.emitted(),
+            // Reset on every (re)build: the new owner re-publishes its
+            // sketches, absorbed idempotently.
+            last_shipped: 0,
+        };
+        Ok((state, replay))
+    }
+
+    /// [`Self::rebuild_group`] over a journal this process wrote, for
+    /// crash restore and migration. `None` when the group's durable WAL
+    /// is wedged.
+    fn rebuild_in_memory(&self, group: usize, events: &Sender<Vec<Event>>) -> Option<GroupState> {
+        let (state, replay) = match self.rebuild_group(group, events) {
+            Ok(rebuilt) => rebuilt,
+            Err(RebuildError::Wedged) => return None,
+            Err(e) => panic!("group {group}'s self-written journal failed to rebuild: {e:?}"),
+        };
+        // Cannot fire here: this process counted each delivered event
+        // off a journaled append, so replaying the journal regenerates
+        // at least as many. (`open()` reads the count from a file and
+        // checks it instead.)
+        debug_assert!(
+            replay.regenerated >= replay.acked,
+            "replay regenerated {} events but {} were already delivered",
+            replay.regenerated,
+            replay.acked
+        );
+        Some(state)
+    }
+
+    /// `open()`'s start of one group: scans the group's files into its
+    /// journal, rebuilds it through [`Self::rebuild_group`], then makes
+    /// the post-replay state durable as a fresh snapshot generation and
+    /// hands that disk to the journal.
+    ///
+    /// A process killed mid-migration recovers here too: the group's
+    /// journal is crash-consistent no matter which slot owned it (seal
+    /// fences the source before the destination writes), so `open`
+    /// lands in a consistent epoch-0 placement.
+    fn recover_group(
+        &self,
+        group: usize,
+        persist: &PersistConfig,
+        events: &Sender<Vec<Event>>,
+    ) -> Result<(GroupState, ShardRecoveryReport), RuntimeError> {
+        let recovery_err = RuntimeError::Recovery;
+        let span = self.runtime_telemetry.disk_recovery.span();
+        persist::apply_open_faults(&persist.dir, group, &self.fault_plan).map_err(recovery_err)?;
+        let rec = persist::recover_shard(&persist.dir, group).map_err(recovery_err)?;
+        let (max_gen, truncated_bytes, used_fallback) =
+            (rec.max_gen, rec.truncated_bytes, rec.used_fallback);
+        self.recovery[group].load(rec);
+        let (state, replay) = self.rebuild_group(group, events).map_err(|e| match e {
+            RebuildError::Spec(e) => e,
+            RebuildError::Snapshot => recovery_err(RecoveryError::CorruptSnapshot {
+                path: persist::ShardPaths::new(&persist.dir, group).snap,
+                detail: "checksummed monitor payload failed to decode \
+                         (spec or version mismatch?)",
+            }),
+            RebuildError::Wedged => unreachable!("the disk is attached after the replay"),
+        })?;
+        // The ack came from a file, not from this process: a WAL that
+        // acks more events than its batches regenerate cannot be
+        // recovered exactly.
+        if replay.regenerated < replay.acked {
+            return Err(recovery_err(RecoveryError::AckShortfall {
+                shard: group,
+                acked: replay.acked,
+                regenerated: replay.regenerated,
+            }));
+        }
+        self.runtime_telemetry.replayed.add(replay.replayed);
+        if truncated_bytes > 0 {
+            self.runtime_telemetry.torn_truncations.inc();
+        }
+        if used_fallback {
+            self.runtime_telemetry.snapshot_fallbacks.inc();
+        }
+        let snapshot = state.monitor.as_ref().map(|m| m.snapshot());
+        let disk = persist::ShardDisk::create(
+            &persist.dir,
+            group,
+            persist.sync,
+            self.fault_plan.clone(),
+            self.runtime_telemetry.clone(),
+            max_gen,
+            state.appends,
+            state.emitted,
+            snapshot.as_deref(),
+        )
+        .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
+        drop(span);
+        let report = ShardRecoveryReport {
+            shard: group,
+            durable_appends: state.appends,
+            replayed: replay.replayed,
+            re_emitted: replay.regenerated - replay.acked,
+            suppressed: replay.acked,
+            truncated_bytes,
+            used_fallback,
+            generation: disk.generation(),
+        };
+        self.recovery[group].attach_disk(disk, snapshot);
+        Ok((state, report))
     }
 
     /// Fail-stops a slot for good: queue closed (producers unpark into
@@ -389,7 +506,6 @@ impl Shared {
                 return;
             }
         }
-        let recs = self.recovery.as_ref().expect("supervisor requires recovery");
         let events = self
             .events_tx
             .lock()
@@ -401,18 +517,7 @@ impl Shared {
         let mut processed = 0u64;
         let mut markers = Vec::new();
         for (group, needs_marker) in self.routing.respawn_set(slot) {
-            let rec = &recs[group];
-            let rebuilt = rec.rebuild_state(
-                &self.spec,
-                self.n_locals[group],
-                group,
-                self.n_groups,
-                &events,
-                &self.sketches,
-                self.sketch_cadence,
-                &self.runtime_telemetry,
-            );
-            let Some((mut monitor, appends)) = rebuilt else {
+            let Some(state) = self.rebuild_in_memory(group, &events) else {
                 // The group's durable WAL is wedged (torn write or
                 // failed rotation): an in-memory rebuild would accept
                 // appends the disk can no longer journal, so the whole
@@ -422,26 +527,8 @@ impl Shared {
                 self.fail_slot(slot, None);
                 return;
             };
-            // The replay above ran detached (a restored monitor never
-            // counts replayed appends twice); re-attach for the group's
-            // second life.
-            if let (Some(registry), Some(m)) = (&self.telemetry, monitor.as_mut()) {
-                m.attach_telemetry(registry);
-            }
-            groups.insert(
-                group,
-                GroupState {
-                    n_locals: self.n_locals[group],
-                    monitor,
-                    recovery: Some(Arc::clone(rec)),
-                    appends,
-                    emitted: rec.emitted(),
-                    // Reset on every (re)spawn: the restored worker
-                    // re-publishes its sketches, absorbed idempotently.
-                    last_shipped: 0,
-                },
-            );
-            processed += appends;
+            processed += state.appends;
+            groups.insert(group, state);
             if needs_marker {
                 markers.push(group);
             }
@@ -477,9 +564,6 @@ impl Shared {
     /// proves crash recovery proves the replay resends nothing (the
     /// source sealed gracefully, so everything it emitted is acked).
     fn migrate_group(self: &Arc<Self>, group: usize, to: usize) -> Result<(), RuntimeError> {
-        let Some(recs) = self.recovery.as_ref() else {
-            return Err(RuntimeError::MigrationUnsupported);
-        };
         if group >= self.n_groups {
             return Err(RuntimeError::Rebalance { detail: "group index out of range" });
         }
@@ -515,35 +599,14 @@ impl Shared {
             .expect("events sender poisoned")
             .clone()
             .ok_or(RuntimeError::Disconnected)?;
-        let rec = &recs[group];
-        let rebuilt = rec.rebuild_state(
-            &self.spec,
-            self.n_locals[group],
-            group,
-            self.n_groups,
-            &events,
-            &self.sketches,
-            self.sketch_cadence,
-            &self.runtime_telemetry,
-        );
-        let Some((mut monitor, appends)) = rebuilt else {
+        let Some(state) = self.rebuild_in_memory(group, &events) else {
             // Wedged journal mid-migration: the group cannot be handed
             // to anyone (its WAL refuses appends). Fail the group, not
             // the runtime.
             self.routing.mark_group_failed(group);
             return Err(RuntimeError::Disconnected);
         };
-        if let (Some(registry), Some(m)) = (&self.telemetry, monitor.as_mut()) {
-            m.attach_telemetry(registry);
-        }
-        let state = GroupState {
-            n_locals: self.n_locals[group],
-            monitor,
-            recovery: Some(Arc::clone(rec)),
-            appends,
-            emitted: rec.emitted(),
-            last_shipped: 0,
-        };
+        let appends = state.appends;
         // Queue the adoption, then promote. FIFO puts the payload ahead
         // of any batch admitted after the flip, and a destination crash
         // between the two is healed by its respawn set (`Handed{to}` ⇒
@@ -608,15 +671,16 @@ impl Shared {
 /// queues, so a query answered by a shard has observed every batch
 /// submitted to that shard before it.
 ///
-/// **Crash recovery.** With [`RuntimeConfig::recovery`] enabled (the
-/// default), every batch is journaled before it is applied and each
-/// shard's monitor is snapshotted on a configurable cadence. A
-/// supervisor thread watches for dead workers; when one dies it
-/// restores the monitor from the last snapshot, replays the journaled
-/// suffix (suppressing the events the dead worker already delivered),
-/// and spawns a replacement that resumes draining the *same* queue — no
-/// queued batch or query is lost, no event is delivered twice, and the
-/// recovered event stream is bit-identical to an unfaulted run.
+/// **Crash recovery.** Every batch is journaled before it is applied
+/// and each group's monitor is snapshotted every
+/// [`RuntimeConfig::snapshot_every`] appends. A supervisor thread
+/// watches for dead workers; when one dies it restores the monitor from
+/// the last snapshot, replays the journaled suffix (suppressing the
+/// events the dead worker already delivered), and spawns a replacement
+/// that resumes draining the *same* queue — no queued batch or query is
+/// lost, no event is delivered twice, and the recovered event stream is
+/// bit-identical to an unfaulted run. Migration and [`Self::open`]
+/// rebuild groups through the same replay.
 pub struct ShardedRuntime {
     n_streams: usize,
     shared: Arc<Shared>,
@@ -626,8 +690,8 @@ pub struct ShardedRuntime {
     /// single collector thread drains events. Each message is one commit
     /// group's events; `drain_events` flattens them in arrival order.
     events_rx: Mutex<Receiver<Vec<Event>>>,
+    /// The supervisor thread; taken (`None`) once teardown has begun.
     supervisor: Option<JoinHandle<()>>,
-    finished: bool,
 }
 
 impl std::fmt::Debug for ShardedRuntime {
@@ -637,13 +701,13 @@ impl std::fmt::Debug for ShardedRuntime {
             .field("n_shards", &self.shared.n_workers)
             .field("n_groups", &self.shared.n_groups)
             .field("epoch", &self.shared.routing.epoch())
-            .field("recovery", &self.shared.recovery.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl ShardedRuntime {
-    /// Launches workers for `n_streams` streams described by `spec`.
+    /// Launches workers for `n_streams` streams described by `spec`:
+    /// [`Self::open`] with empty journals and no disk.
     ///
     /// # Errors
     /// Fails on zero streams, a spec with no query class, or a rejected
@@ -653,62 +717,23 @@ impl ShardedRuntime {
         n_streams: usize,
         config: RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
-        if n_streams == 0 {
-            return Err(RuntimeError::NoStreams);
-        }
-        let (n_shards, n_groups, n_locals) = sizing(n_streams, config.shards, config.groups);
-        let n_workers = n_shards + config.spare_shards;
-        let with_recovery = config.recovery.is_some();
-        let mut seeds: Vec<(usize, Option<UnifiedMonitor>, u64)> = Vec::with_capacity(n_groups);
-        for (group, &n_local) in n_locals.iter().enumerate() {
-            let mut monitor = spec.build(n_local)?;
-            if let (Some(registry), Some(m)) = (&config.telemetry, monitor.as_mut()) {
-                m.attach_telemetry(registry);
-            }
-            seeds.push((group, monitor, 0));
-        }
-        let runtime_telemetry =
-            config.telemetry.as_ref().map(RuntimeTelemetry::new).unwrap_or_default();
-
-        let (events_tx, events_rx) = mpsc::channel();
-        let shared = Self::assemble(
-            spec,
-            n_locals,
-            n_workers,
-            config,
-            events_tx,
-            runtime_telemetry,
-            (0..n_workers).map(|_| Arc::new(ShardCounters::new())).collect(),
-            with_recovery
-                .then(|| (0..n_groups).map(|_| Arc::new(ShardRecovery::new(None))).collect()),
-        );
-        Self::start_workers(&shared, seeds)?;
-        let supervisor = if with_recovery { Some(Self::start_supervisor(&shared)?) } else { None };
-        Ok(ShardedRuntime {
-            n_streams,
-            shared,
-            events_rx: Mutex::new(events_rx),
-            supervisor,
-            finished: false,
-        })
+        Self::start(spec, n_streams, config, None).map(|(rt, _)| rt)
     }
 
     /// Opens (or creates) a durable runtime backed by `persist.dir`.
     ///
-    /// The directory is scanned shard by shard: snapshot and WAL
+    /// The directory is scanned group by group: snapshot and WAL
     /// checksums are validated, torn WAL tails are truncated, a corrupt
     /// current snapshot falls back to the previous generation, and the
-    /// WAL suffix past the recovered snapshot is replayed through the
-    /// restored monitors. Events the previous process had not yet
-    /// delivered (per the WAL's ack records) are re-emitted and show up
-    /// in the next [`Self::drain_events`]; delivered ones are
-    /// suppressed. Each shard then rotates to a fresh snapshot
-    /// generation and resumes journaling every batch to its
-    /// `shard-N.wal`.
+    /// recovered snapshot and WAL suffix are loaded into the group's
+    /// journal and replayed exactly as a crash restore would. Events the
+    /// previous process had not yet delivered (per the WAL's ack
+    /// records) are re-emitted and show up in the next
+    /// [`Self::drain_events`]; delivered ones are suppressed. Each group
+    /// then rotates to a fresh snapshot generation and resumes
+    /// journaling every batch to its `shard-N.wal`.
     ///
-    /// Crash recovery is forced on (a durable runtime without a
-    /// supervisor would lose the WAL's exactly-once arithmetic). The
-    /// caller must open with the same spec and stream count the
+    /// The caller must open with the same spec and stream count the
     /// directory was written under — the shard-file layout is checked,
     /// the spec is not.
     ///
@@ -719,171 +744,71 @@ impl ShardedRuntime {
     pub fn open(
         spec: &MonitorSpec,
         n_streams: usize,
-        mut config: RuntimeConfig,
+        config: RuntimeConfig,
         persist: PersistConfig,
+    ) -> Result<(Self, RecoveryReport), RuntimeError> {
+        Self::start(spec, n_streams, config, Some(&persist))
+    }
+
+    /// The construction path behind [`Self::launch`] and [`Self::open`]:
+    /// every group is built by [`Shared::rebuild_group`] — from an empty
+    /// journal, or from one `open()` loaded off disk.
+    fn start(
+        spec: &MonitorSpec,
+        n_streams: usize,
+        config: RuntimeConfig,
+        persist: Option<&PersistConfig>,
     ) -> Result<(Self, RecoveryReport), RuntimeError> {
         if n_streams == 0 {
             return Err(RuntimeError::NoStreams);
         }
-        if config.recovery.is_none() {
-            config.recovery = Some(RecoveryPolicy::default());
-        }
         let (n_shards, n_groups, n_locals) = sizing(n_streams, config.shards, config.groups);
-        let n_workers = n_shards + config.spare_shards;
-        let recovery_err = |e: RecoveryError| RuntimeError::Recovery(e);
-        std::fs::create_dir_all(&persist.dir)
-            .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
-        // Durable layout is per *group*: `shard-N` files hold group N's
-        // journal, which travels with the group across worker slots.
-        // (The on-disk names predate elastic routing.)
-        persist::check_shard_layout(&persist.dir, n_groups).map_err(recovery_err)?;
-        let runtime_telemetry =
-            config.telemetry.as_ref().map(RuntimeTelemetry::new).unwrap_or_default();
+        if let Some(persist) = persist {
+            std::fs::create_dir_all(&persist.dir)
+                .map_err(|e| RuntimeError::Recovery(RecoveryError::io(&persist.dir, e)))?;
+            // Durable layout is per *group*: `shard-N` files hold group
+            // N's journal, which travels with the group across worker
+            // slots. (The on-disk names predate elastic routing.)
+            persist::check_shard_layout(&persist.dir, n_groups).map_err(RuntimeError::Recovery)?;
+        }
         let (events_tx, events_rx) = mpsc::channel();
-
-        let mut seeds = Vec::with_capacity(n_groups);
-        let mut recoveries = Vec::with_capacity(n_groups);
-        let mut report = RecoveryReport { shards: Vec::with_capacity(n_groups) };
+        let shared = Self::assemble(spec, n_locals, n_shards, config, events_tx.clone());
+        let mut report = RecoveryReport { shards: Vec::new() };
+        let mut groups = Vec::with_capacity(n_groups);
         for group in 0..n_groups {
-            let span = runtime_telemetry.disk_recovery.span();
-            persist::apply_open_faults(&persist.dir, group, &config.fault_plan)
-                .map_err(recovery_err)?;
-            let rec = persist::recover_shard(&persist.dir, group).map_err(recovery_err)?;
-            // Build from the spec first — this validates the spec for
-            // every group even when a snapshot overrides the state.
-            let mut monitor = spec.build(n_locals[group])?;
-            if let Some(bytes) = &rec.snapshot {
-                let restored = UnifiedMonitor::restore(bytes).map_err(|_| {
-                    recovery_err(RecoveryError::CorruptSnapshot {
-                        path: persist::ShardPaths::new(&persist.dir, group).snap,
-                        detail: "checksummed monitor payload failed to decode \
-                                 (spec or version mismatch?)",
-                    })
-                })?;
-                monitor = Some(restored);
-            }
-            // Replay the WAL suffix. The first `already` regenerated
-            // events were delivered (and acked) by the previous process;
-            // the rest go to the collector now. A process killed mid-
-            // migration recovers here too: the group's journal is
-            // crash-consistent no matter which slot owned it (seal
-            // fences the source before the destination writes), so
-            // `open` lands in a consistent epoch-0 placement.
-            let already = rec.last_ack - rec.emitted_at_snapshot;
-            let mut regenerated = 0u64;
-            let mut re_emitted = 0u64;
-            if let Some(monitor) = monitor.as_mut() {
-                let mut buf = Vec::new();
-                let mut resend = Vec::new();
-                for &(local, value) in &rec.suffix {
-                    buf.clear();
-                    monitor.append_into(local, value, &mut buf);
-                    for ev in buf.drain(..) {
-                        regenerated += 1;
-                        if regenerated > already {
-                            resend.push(remap_event(group, n_groups, ev));
-                        }
-                    }
+            let state = match persist {
+                None => match shared.rebuild_group(group, &events_tx) {
+                    Ok((state, _)) => state,
+                    Err(RebuildError::Spec(e)) => return Err(e),
+                    Err(e) => unreachable!("an empty journal cannot fail with {e:?}"),
+                },
+                Some(persist) => {
+                    let (state, shard_report) = shared.recover_group(group, persist, &events_tx)?;
+                    report.shards.push(shard_report);
+                    state
                 }
-                if !resend.is_empty() {
-                    re_emitted = resend.len() as u64;
-                    let _ = events_tx.send(resend);
-                }
-            }
-            runtime_telemetry.replayed.add(rec.suffix.len() as u64);
-            if rec.truncated_bytes > 0 {
-                runtime_telemetry.torn_truncations.inc();
-            }
-            if rec.used_fallback {
-                runtime_telemetry.snapshot_fallbacks.inc();
-            }
-            // The replay ran detached; attach for the live phase.
-            if let (Some(registry), Some(m)) = (&config.telemetry, monitor.as_mut()) {
-                m.attach_telemetry(registry);
-            }
-            let durable_appends = rec.snapshot_appends + rec.suffix.len() as u64;
-            let emitted = rec.emitted_at_snapshot + regenerated.max(already);
-            let snap_bytes = monitor.as_ref().map(|m| m.snapshot());
-            let disk = persist::ShardDisk::create(
-                &persist.dir,
-                group,
-                persist.sync,
-                config.fault_plan.clone(),
-                runtime_telemetry.clone(),
-                rec.max_gen,
-                durable_appends,
-                emitted,
-                snap_bytes.as_deref(),
-            )
-            .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
-            drop(span);
-            report.shards.push(ShardRecoveryReport {
-                shard: group,
-                durable_appends,
-                replayed: rec.suffix.len() as u64,
-                re_emitted,
-                suppressed: already.min(regenerated),
-                truncated_bytes: rec.truncated_bytes,
-                used_fallback: rec.used_fallback,
-                generation: disk.generation(),
-            });
-            recoveries.push(Arc::new(ShardRecovery::resumed(
-                snap_bytes,
-                durable_appends,
-                emitted,
-                Some(disk),
-            )));
-            seeds.push((group, monitor, durable_appends));
+            };
+            groups.push(state);
         }
-
-        // Per-slot counters start at the sums of the groups initially
-        // placed on each slot (`group mod n_shards`).
-        let counters: Vec<Arc<ShardCounters>> =
-            (0..n_workers).map(|_| Arc::new(ShardCounters::new())).collect();
-        for (group, rec) in recoveries.iter().enumerate() {
-            let slot = group % n_shards;
-            let appends = report.shards[group].durable_appends;
-            counters[slot].appends.fetch_add(appends, Ordering::Relaxed);
-            counters[slot].events.fetch_add(rec.emitted(), Ordering::Relaxed);
-        }
-
-        let shared = Self::assemble(
-            spec,
-            n_locals,
-            n_workers,
-            config,
-            events_tx,
-            runtime_telemetry,
-            counters,
-            Some(recoveries),
-        );
-        Self::start_workers(&shared, seeds)?;
+        Self::start_workers(&shared, groups)?;
         let supervisor = Some(Self::start_supervisor(&shared)?);
-        let rt = ShardedRuntime {
-            n_streams,
-            shared,
-            events_rx: Mutex::new(events_rx),
-            supervisor,
-            finished: false,
-        };
-        Ok((rt, report))
+        Ok((
+            ShardedRuntime { n_streams, shared, events_rx: Mutex::new(events_rx), supervisor },
+            report,
+        ))
     }
 
-    /// Builds the shared state common to [`Self::launch`] and
-    /// [`Self::open`].
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the shared state for `n_locals.len()` groups placed on
+    /// `n_shards` worker slots, with empty journals.
     fn assemble(
         spec: &MonitorSpec,
         n_locals: Vec<usize>,
-        n_workers: usize,
+        n_shards: usize,
         config: RuntimeConfig,
         events_tx: Sender<Vec<Event>>,
-        runtime_telemetry: RuntimeTelemetry,
-        counters: Vec<Arc<ShardCounters>>,
-        recovery: Option<Vec<Arc<ShardRecovery>>>,
     ) -> Arc<Shared> {
         let n_groups = n_locals.len();
-        let n_shards = n_workers - config.spare_shards;
+        let n_workers = n_shards + config.spare_shards;
         let n_streams: usize = n_locals.iter().sum();
         let queue_capacity = config.queue_capacity.max(1);
         // Initial placement: group g on slot g mod n_shards. With the
@@ -895,13 +820,17 @@ impl ShardedRuntime {
             n_workers,
             n_groups,
             n_locals,
-            snapshot_every: config.recovery.map(|r| r.snapshot_every).unwrap_or(0),
+            snapshot_every: config.snapshot_every,
             fault_plan: config.fault_plan,
+            runtime_telemetry: config
+                .telemetry
+                .as_ref()
+                .map(RuntimeTelemetry::new)
+                .unwrap_or_default(),
             telemetry: config.telemetry,
-            runtime_telemetry,
             queues: (0..n_workers).map(|_| Arc::new(BoundedQueue::new(queue_capacity))).collect(),
             queue_capacity,
-            counters,
+            counters: (0..n_workers).map(|_| Arc::new(ShardCounters::new())).collect(),
             routing: Arc::new(Routing::new(assignment, n_workers)),
             migration: Mutex::new(()),
             migrations: AtomicU64::new(0),
@@ -913,39 +842,28 @@ impl ShardedRuntime {
             sketches: Arc::new(SketchBoard::new(n_streams)),
             sketch_cadence: config.sketch_cadence,
             intra_query_threads: pool::resolve_threads(config.intra_query_threads),
-            recovery,
+            recovery: (0..n_groups).map(|_| Arc::new(ShardRecovery::new())).collect(),
             board: Arc::new(Board::new(n_workers)),
             handles: Mutex::new((0..n_workers).map(|_| None).collect()),
             events_tx: Mutex::new(Some(events_tx)),
         })
     }
 
-    /// Spawns every worker slot. `seeds` carries one entry per *group*
-    /// (`(group, monitor, durable_appends)`); groups are bucketed onto
-    /// their initial slots and spare slots start empty.
-    fn start_workers(
-        shared: &Arc<Shared>,
-        seeds: Vec<(usize, Option<UnifiedMonitor>, u64)>,
-    ) -> Result<(), RuntimeError> {
+    /// Spawns every worker slot. `groups` holds every group's state,
+    /// indexed by group; groups are bucketed onto their initial slots,
+    /// whose counters start at the groups' sums, and spare slots start
+    /// empty.
+    fn start_workers(shared: &Arc<Shared>, groups: Vec<GroupState>) -> Result<(), RuntimeError> {
         let mut per_slot: Vec<BTreeMap<usize, GroupState>> =
             (0..shared.n_workers).map(|_| BTreeMap::new()).collect();
         let mut processed: Vec<u64> = vec![0; shared.n_workers];
-        for (group, monitor, appends) in seeds {
+        for (group, state) in groups.into_iter().enumerate() {
             let slot = shared.routing.try_owner(group).expect("fresh routing is steady");
-            let recovery = shared.recovery.as_ref().map(|r| Arc::clone(&r[group]));
-            let emitted = recovery.as_ref().map_or(0, |r| r.emitted());
-            per_slot[slot].insert(
-                group,
-                GroupState {
-                    n_locals: shared.n_locals[group],
-                    monitor,
-                    recovery,
-                    appends,
-                    emitted,
-                    last_shipped: 0,
-                },
-            );
-            processed[slot] += appends;
+            let counters = &shared.counters[slot];
+            counters.appends.fetch_add(state.appends, Ordering::Relaxed);
+            counters.events.fetch_add(state.emitted, Ordering::Relaxed);
+            processed[slot] += state.appends;
+            per_slot[slot].insert(group, state);
         }
         for (slot, groups) in per_slot.into_iter().enumerate() {
             match shared.spawn_worker(slot, groups, processed[slot]) {
@@ -1066,9 +984,6 @@ impl ShardedRuntime {
                 }
                 Err(AdmitError::Closed(ShardMsg::Batch(_, i, _))) => {
                     self.shared.counters[slot].undo_enqueued();
-                    if self.shared.recovery.is_none() {
-                        return Err(RuntimeError::Disconnected);
-                    }
                     // Slot fail-stopped; the routing table is marked
                     // failed momentarily after the close. Yield until
                     // wait_owner observes it.
@@ -1255,12 +1170,7 @@ impl ShardedRuntime {
                 }) {
                 Ok(()) => return Ok(()),
                 Err(AdmitError::Refused(_)) => continue,
-                Err(AdmitError::Closed(_)) => {
-                    if self.shared.recovery.is_none() {
-                        return Err(RuntimeError::Disconnected);
-                    }
-                    std::thread::yield_now();
-                }
+                Err(AdmitError::Closed(_)) => std::thread::yield_now(),
             }
         }
     }
@@ -1519,7 +1429,6 @@ impl ShardedRuntime {
     /// touching a moving group park for the freeze window and re-resolve.
     ///
     /// # Errors
-    /// [`RuntimeError::MigrationUnsupported`] without recovery,
     /// [`RuntimeError::Rebalance`] on bad arguments (out-of-range slot
     /// or group, a group not owned by `from`),
     /// [`RuntimeError::Disconnected`] / [`RuntimeError::RespawnStorm`]
@@ -1591,9 +1500,6 @@ impl ShardedRuntime {
     /// # Errors
     /// Same surface as [`Self::split_shard`].
     pub fn rebalance_step(&self) -> Result<Option<RebalanceAction>, RuntimeError> {
-        if self.shared.recovery.is_none() {
-            return Err(RuntimeError::MigrationUnsupported);
-        }
         let shared = &self.shared;
         let owners = shared.routing.owners();
         let mut groups_of: Vec<Vec<usize>> = vec![Vec::new(); shared.n_workers];
@@ -1691,10 +1597,9 @@ impl ShardedRuntime {
     /// queues instead, which also drains what is already queued but
     /// refuses new messages.
     fn finish(&mut self, graceful: bool) {
-        if self.finished {
+        let Some(supervisor) = self.supervisor.take() else {
             return;
-        }
-        self.finished = true;
+        };
         // Wake producers/queries parked on a frozen route; they exit
         // with `Disconnected` instead of waiting out a migration that
         // will never promote.
@@ -1714,9 +1619,7 @@ impl ShardedRuntime {
         // fresh worker to finish the drain.
         self.shared.board.wait_all_settled();
         self.shared.board.begin_shutdown();
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
+        let _ = supervisor.join();
         let handles: Vec<JoinHandle<()>> = {
             let mut slots = self.shared.handles.lock().expect("handles poisoned");
             slots.iter_mut().filter_map(|slot| slot.take()).collect()

@@ -34,8 +34,8 @@ pub(crate) struct GroupState {
     pub n_locals: usize,
     /// The group's monitor (`None` when the spec builds none).
     pub monitor: Option<UnifiedMonitor>,
-    /// The group's crash-recovery journal; `None` disables journaling.
-    pub recovery: Option<Arc<ShardRecovery>>,
+    /// The group's crash-recovery journal.
+    pub recovery: Arc<ShardRecovery>,
     /// Lifetime appends applied to this group (including rejected
     /// non-finite samples — they are journaled and tick the clock).
     pub appends: u64,
@@ -272,8 +272,8 @@ struct BoardState {
     dead: Vec<usize>,
     /// `clean[s]`: shard `s`'s worker exited its loop normally.
     clean: Vec<bool>,
-    /// `failed[s]`: shard `s` died with no supervisor to restore it (its
-    /// queue is closed, producers see `Disconnected`).
+    /// `failed[s]`: the supervisor gave up on shard `s` (its queue is
+    /// closed, producers see `Disconnected` or `RespawnStorm`).
     failed: Vec<bool>,
     /// Set once the runtime wants the supervisor gone.
     shutdown: bool,
@@ -305,14 +305,8 @@ impl Board {
         self.cv.notify_all();
     }
 
-    fn report_dead(&self, shard: usize, terminal: bool) {
-        let mut st = self.state.lock().expect("board poisoned");
-        if terminal {
-            st.failed[shard] = true;
-        } else {
-            st.dead.push(shard);
-        }
-        drop(st);
+    fn report_dead(&self, shard: usize) {
+        self.state.lock().expect("board poisoned").dead.push(shard);
         self.cv.notify_all();
     }
 
@@ -366,10 +360,6 @@ pub(crate) struct DeathNotice {
     pub shard: usize,
     pub board: Arc<Board>,
     pub clean: bool,
-    /// With recovery disabled there is no supervisor to restore the
-    /// shard, so death must close the queue (unparking producers into
-    /// `Disconnected`) and is terminal.
-    pub close_on_death: Option<Arc<BoundedQueue<ShardMsg>>>,
 }
 
 impl Drop for DeathNotice {
@@ -377,11 +367,7 @@ impl Drop for DeathNotice {
         if self.clean {
             self.board.report_clean(self.shard);
         } else {
-            let terminal = self.close_on_death.is_some();
-            if let Some(queue) = &self.close_on_death {
-                queue.close();
-            }
-            self.board.report_dead(self.shard, terminal);
+            self.board.report_dead(self.shard);
         }
     }
 }
@@ -642,13 +628,11 @@ impl Worker {
             let _span = self.telemetry.journal.span();
             for &g in &touched {
                 let gs = self.groups.get(&g).expect("routed batch for unowned group");
-                if let Some(rec) = &gs.recovery {
-                    let batches = msgs.iter().filter_map(move |m| match m {
-                        ShardMsg::Batch(bg, items, _) if *bg == g => Some(items.as_slice()),
-                        _ => None,
-                    });
-                    rec.journal_group(batches);
-                }
+                let batches = msgs.iter().filter_map(move |m| match m {
+                    ShardMsg::Batch(bg, items, _) if *bg == g => Some(items.as_slice()),
+                    _ => None,
+                });
+                gs.recovery.journal_group(batches);
             }
         }
         self.telemetry.group_size.observe(msgs.len() as u64);
@@ -738,13 +722,11 @@ impl Worker {
             for &(group, n) in &emitted_by {
                 let gs = self.groups.get_mut(&group).expect("group applied above");
                 gs.emitted += n;
-                if let Some(rec) = &gs.recovery {
-                    // The events are out; ack the cumulative count to
-                    // the durable WAL so a process-level recovery
-                    // suppresses exactly these.
-                    rec.note_emitted_n(n);
-                    rec.ack_emitted();
-                }
+                // The events are out; ack the cumulative count to the
+                // durable WAL so a process-level recovery suppresses
+                // exactly these.
+                gs.recovery.note_emitted_n(n);
+                gs.recovery.ack_emitted();
             }
         }
         // Snapshot only at run boundaries: the journal suffix holds
@@ -753,11 +735,9 @@ impl Worker {
         if self.snapshot_every > 0 {
             for &g in &touched {
                 let gs = self.groups.get(&g).expect("group applied above");
-                if let Some(rec) = &gs.recovery {
-                    if rec.suffix_len() as u64 >= self.snapshot_every {
-                        let _span = self.telemetry.snapshot.span();
-                        rec.record_snapshot(gs.monitor.as_ref().map(|m| m.snapshot()));
-                    }
+                if gs.recovery.suffix_len() as u64 >= self.snapshot_every {
+                    let _span = self.telemetry.snapshot.span();
+                    gs.recovery.record_snapshot(gs.monitor.as_ref().map(|m| m.snapshot()));
                 }
             }
         }

@@ -1,18 +1,23 @@
-//! Per-shard crash recovery: write-ahead journal, periodic monitor
+//! Per-group crash recovery: write-ahead journal, periodic monitor
 //! snapshots, and deterministic suffix replay.
 //!
-//! Every shard owns a [`ShardRecovery`] that outlives any one worker
-//! thread. The worker journals each batch *before* applying it, counts
-//! every event it delivers, and periodically stores a full
-//! [`UnifiedMonitor::snapshot`], truncating the journal. When the
-//! supervisor finds the worker dead it rebuilds the monitor from the
-//! last snapshot, replays the journaled suffix — monitor output is a
-//! pure function of the append sequence, so the replay regenerates
-//! exactly the events the dead worker produced — and suppresses the
-//! first `emitted − emitted_at_snapshot` of them, which were already
-//! delivered. The combination yields exactly-once event delivery across
-//! worker crashes: nothing lost (the journal is written ahead of
-//! processing), nothing duplicated (the suppression count is exact).
+//! Every stream group owns a [`ShardRecovery`] that outlives any one
+//! worker thread and travels with the group across worker slots. The
+//! worker journals each batch *before* applying it, counts every event
+//! it delivers, and periodically stores a full
+//! [`UnifiedMonitor::snapshot`], truncating the journal. Journaling is
+//! always on.
+//!
+//! [`ShardRecovery::rebuild_state`] is the only replay: it rebuilds the
+//! monitor from the last snapshot and replays the journaled suffix —
+//! monitor output is a pure function of the append sequence, so the
+//! replay regenerates exactly the events the previous owner produced —
+//! and suppresses the first `emitted − emitted_at_snapshot` of them,
+//! which were already delivered. Crash restore and migration replay the
+//! journal this process wrote; `open()` first [loads](ShardRecovery::load)
+//! the journal from disk. The combination yields exactly-once event
+//! delivery: nothing lost (the journal is written ahead of processing),
+//! nothing duplicated (the suppression count is exact).
 //!
 //! With [`crate::PersistConfig`] the journal additionally owns a
 //! [`ShardDisk`]: every batch is appended to the on-disk WAL *before*
@@ -20,8 +25,8 @@
 //! generation, and delivered-event counts are acked to the WAL so a
 //! process-level crash recovers with the same suppression arithmetic.
 //! A disk that can no longer be appended to (torn write, failed rename)
-//! wedges the shard: accepting appends the log cannot journal would
-//! break the durability contract, so the shard fails stop instead.
+//! wedges the group: accepting appends the log cannot journal would
+//! break the durability contract, so the group fails stop instead.
 //!
 //! Lock poisoning is survived, not propagated: a worker that panics
 //! mid-batch (the fault injector does this on purpose) may poison the
@@ -36,15 +41,16 @@ use std::sync::{Mutex, PoisonError};
 use stardust_core::stream::StreamId;
 use stardust_core::unified::{Event, UnifiedMonitor};
 
-use crate::persist::ShardDisk;
+use crate::persist::{RecoveredShard, ShardDisk};
 use crate::shard::{publish_sketches_if_due, remap_event, SketchBoard};
 use crate::spec::MonitorSpec;
 use crate::telemetry::RuntimeTelemetry;
+use crate::RuntimeError;
 
-/// The journaled, not-yet-snapshotted tail of one shard's input.
+/// The journaled, not-yet-snapshotted tail of one group's input.
 struct Journal {
     /// Last stored monitor snapshot (`None` until the first cadence
-    /// boundary, or for shards whose spec builds no monitor).
+    /// boundary, or for groups whose spec builds no monitor).
     snapshot: Option<Vec<u8>>,
     /// Appends covered by `snapshot`.
     snapshot_appends: u64,
@@ -57,51 +63,60 @@ struct Journal {
     disk: Option<ShardDisk>,
 }
 
-/// One shard's recovery state, shared by the worker (journaling) and
+/// One group's recovery state, shared by the worker (journaling) and
 /// the supervisor (rebuilding). The worker is the only writer while it
 /// lives; the supervisor only touches this after the worker died, so
 /// the mutex is never contended.
 pub(crate) struct ShardRecovery {
     journal: Mutex<Journal>,
-    /// Events delivered to the collector over the shard's lifetime,
+    /// Events delivered to the collector over the group's lifetime,
     /// bumped once per successful send — exact even mid-batch.
     emitted: AtomicU64,
 }
 
 impl ShardRecovery {
-    pub(crate) fn new(disk: Option<ShardDisk>) -> Self {
+    /// An empty journal: no snapshot, no suffix, no disk.
+    pub(crate) fn new() -> Self {
         ShardRecovery {
             journal: Mutex::new(Journal {
                 snapshot: None,
                 snapshot_appends: 0,
                 emitted_at_snapshot: 0,
                 suffix: Vec::new(),
-                disk,
+                disk: None,
             }),
             emitted: AtomicU64::new(0),
         }
     }
 
-    /// Warm constructor for `open()`: the journal starts at the state
-    /// the open-time rotation just made durable — `snapshot` covering
-    /// `snapshot_appends` appends with `emitted` events delivered, and
-    /// an empty suffix.
-    pub(crate) fn resumed(
-        snapshot: Option<Vec<u8>>,
-        snapshot_appends: u64,
-        emitted: u64,
-        disk: Option<ShardDisk>,
-    ) -> Self {
-        ShardRecovery {
-            journal: Mutex::new(Journal {
-                snapshot,
-                snapshot_appends,
-                emitted_at_snapshot: emitted,
-                suffix: Vec::new(),
-                disk,
-            }),
-            emitted: AtomicU64::new(emitted),
-        }
+    /// Loads the state `open()` scanned off disk: the base snapshot, the
+    /// WAL suffix past it, and the highest acked delivered-event count.
+    /// [`Self::rebuild_state`] then replays it like any other journal.
+    pub(crate) fn load(&self, rec: RecoveredShard) {
+        let mut journal = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
+        journal.snapshot = rec.snapshot;
+        journal.snapshot_appends = rec.snapshot_appends;
+        journal.emitted_at_snapshot = rec.emitted_at_snapshot;
+        journal.suffix = rec.suffix;
+        self.emitted.store(rec.last_ack, Ordering::Relaxed);
+    }
+
+    /// Hands the journal its durable mirror once `open()` has written
+    /// the post-replay state as a fresh generation: the in-memory
+    /// journal restarts from that same snapshot with an empty suffix.
+    pub(crate) fn attach_disk(&self, disk: ShardDisk, snapshot: Option<Vec<u8>>) {
+        let mut journal = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
+        self.truncate(&mut journal, snapshot);
+        journal.disk = Some(disk);
+    }
+
+    /// Folds the suffix into `snapshot`, taken after every journaled
+    /// append was applied.
+    fn truncate(&self, journal: &mut Journal, snapshot: Option<Vec<u8>>) {
+        journal.snapshot_appends += journal.suffix.len() as u64;
+        journal.suffix.clear();
+        journal.emitted_at_snapshot = self.emitted.load(Ordering::Relaxed);
+        journal.snapshot = snapshot;
     }
 
     /// Group-commit write-ahead step: journals a run of batches before
@@ -164,10 +179,7 @@ impl ShardRecovery {
     /// because the WAL segment keeps growing.
     pub(crate) fn record_snapshot(&self, snapshot: Option<Vec<u8>>) {
         let mut journal = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
-        journal.snapshot_appends += journal.suffix.len() as u64;
-        journal.suffix.clear();
-        journal.emitted_at_snapshot = self.emitted.load(Ordering::Relaxed);
-        journal.snapshot = snapshot;
+        self.truncate(&mut journal, snapshot);
         let appends = journal.snapshot_appends;
         let emitted = journal.emitted_at_snapshot;
         let journal = &mut *journal;
@@ -184,50 +196,52 @@ impl ShardRecovery {
         self.emitted.load(Ordering::Relaxed)
     }
 
-    /// Rebuilds the monitor of a dead-or-migrating group and replays
-    /// the journaled suffix, delivering only the events the previous
-    /// owner had not yet sent (one grouped send) and firing the
+    /// The one replay-and-suppress path: rebuilds the group's monitor
+    /// from the journal's snapshot (or from `spec` when there is none)
+    /// and replays the journaled suffix, delivering only the events the
+    /// previous owner had not yet sent (one grouped send) and firing the
     /// sketch-exchange cadence for every boundary the replay crosses —
     /// batches a dead worker drained into a commit group but never
     /// applied exist only in the journal, so their publications must
-    /// happen here. Returns the warm monitor and the number of appends
-    /// it has processed (the new owner's fault clock) — or `None` when
-    /// the group's durable WAL is wedged, in which case the group must
-    /// stay down: an in-memory rebuild would accept appends the disk
-    /// can no longer journal.
+    /// happen here. Serves launch (an empty journal), `open()` (a
+    /// journal loaded from disk), crash restore and migration.
     ///
-    /// Pure with respect to shard accounting: callers (the supervisor
-    /// respawning a worker, the migration coordinator handing a sealed
-    /// group to its destination) apply their own counter/restart
-    /// bookkeeping, because the same rebuild serves both paths.
-    /// Safe to run concurrently with itself (journal mutex): a sealed
-    /// group being adopted may race its destination's respawn — both
-    /// rebuilds resend the same (empty, post-seal) tail.
+    /// Pure with respect to shard accounting: callers apply their own
+    /// counter/restart bookkeeping and decide what a [`Replay`] whose
+    /// `regenerated < acked` means. Safe to run concurrently with itself
+    /// (journal mutex): a sealed group being adopted may race its
+    /// destination's respawn — both rebuilds resend the same (empty,
+    /// post-seal) tail.
+    ///
+    /// # Errors
+    /// [`RebuildError::Wedged`] when the group's durable WAL is wedged,
+    /// [`RebuildError::Snapshot`] when the snapshot bytes do not decode,
+    /// [`RebuildError::Spec`] when the spec builds no monitor.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rebuild_state(
         &self,
         spec: &MonitorSpec,
         n_local: usize,
-        shard: usize,
-        n_shards: usize,
+        group: usize,
+        n_groups: usize,
         events: &Sender<Vec<Event>>,
         sketches: &SketchBoard,
         sketch_cadence: u64,
         telemetry: &RuntimeTelemetry,
-    ) -> Option<(Option<UnifiedMonitor>, u64)> {
+    ) -> Result<(Option<UnifiedMonitor>, Replay), RebuildError> {
         let journal = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
         if journal.disk.as_ref().is_some_and(|d| d.wedged) {
-            return None;
+            return Err(RebuildError::Wedged);
         }
         let mut monitor = match &journal.snapshot {
             Some(bytes) => {
-                Some(UnifiedMonitor::restore(bytes).expect("self-written snapshot decodes"))
+                Some(UnifiedMonitor::restore(bytes).map_err(|_| RebuildError::Snapshot)?)
             }
             // No snapshot yet: rebuild from scratch and replay the full
-            // journal (which then spans the shard's whole history).
-            None => spec.build(n_local).expect("spec validated at launch"),
+            // journal (which then spans the group's whole history).
+            None => spec.build(n_local).map_err(RebuildError::Spec)?,
         };
-        let already = self.emitted.load(Ordering::Relaxed) - journal.emitted_at_snapshot;
+        let acked = self.emitted.load(Ordering::Relaxed) - journal.emitted_at_snapshot;
         let mut regenerated = 0u64;
         if let Some(monitor) = monitor.as_mut() {
             let mut buf = Vec::new();
@@ -241,14 +255,14 @@ impl ShardRecovery {
                 monitor.append_into(local, value, &mut buf);
                 for ev in buf.drain(..) {
                     regenerated += 1;
-                    if regenerated > already {
-                        resend.push(remap_event(shard, n_shards, ev));
+                    if regenerated > acked {
+                        resend.push(remap_event(group, n_groups, ev));
                     }
                 }
                 publish_sketches_if_due(
                     Some(monitor),
-                    shard,
-                    n_shards,
+                    group,
+                    n_groups,
                     sketches,
                     sketch_cadence,
                     &mut last_shipped,
@@ -260,14 +274,40 @@ impl ShardRecovery {
                 let _ = events.send(resend);
             }
         }
-        debug_assert!(
-            regenerated >= already,
-            "replay regenerated {regenerated} events but {already} were already delivered"
-        );
-        let processed = journal.snapshot_appends + journal.suffix.len() as u64;
+        let replayed = journal.suffix.len() as u64;
+        let replay =
+            Replay { appends: journal.snapshot_appends + replayed, replayed, acked, regenerated };
         drop(journal);
-        // The replay delivered events the dead worker had not acked.
+        // The replay delivered events the previous owner had not acked.
         self.ack_emitted();
-        Some((monitor, processed))
+        Ok((monitor, replay))
     }
+}
+
+/// What one [`ShardRecovery::rebuild_state`] replayed.
+#[derive(Debug)]
+pub(crate) struct Replay {
+    /// Appends the rebuilt monitor has processed (snapshot + suffix) —
+    /// the new owner's fault clock.
+    pub appends: u64,
+    /// Journaled appends replayed past the snapshot.
+    pub replayed: u64,
+    /// Events past the snapshot already delivered; the replay
+    /// suppresses the first this many it regenerates.
+    pub acked: u64,
+    /// Events the replay regenerated.
+    pub regenerated: u64,
+}
+
+/// Why [`ShardRecovery::rebuild_state`] produced no monitor.
+#[derive(Debug)]
+pub(crate) enum RebuildError {
+    /// The group's durable WAL is wedged (torn write or failed
+    /// rotation): an in-memory rebuild would accept appends the disk
+    /// can no longer journal, so the group must stay down.
+    Wedged,
+    /// The journal's snapshot bytes failed to decode.
+    Snapshot,
+    /// The spec could not build a monitor.
+    Spec(RuntimeError),
 }

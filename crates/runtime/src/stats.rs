@@ -139,7 +139,7 @@ pub struct ShardStats {
     /// Batches drained.
     pub batches: u64,
     /// Times this shard's worker died and was restored by the
-    /// supervisor (always `0` with recovery disabled).
+    /// supervisor.
     pub restarts: u64,
     /// Messages currently queued (approximate — producers and the worker
     /// race by design).

@@ -15,8 +15,8 @@ use stardust_core::transform::TransformKind;
 use stardust_core::unified::Event;
 use stardust_datagen::random_walk::{observed_r_max, random_walk_streams};
 use stardust_runtime::{
-    sort_events, AggregateSpec, Batch, CorrelationSpec, FaultPlan, MonitorSpec, RecoveryPolicy,
-    RuntimeConfig, ShardedRuntime, ShutdownReport, TrendPattern, TrendSpec,
+    sort_events, AggregateSpec, Batch, CorrelationSpec, FaultPlan, MonitorSpec, RuntimeConfig,
+    ShardedRuntime, ShutdownReport, TrendPattern, TrendSpec,
 };
 
 const BASE_WINDOW: usize = 16;
@@ -84,7 +84,7 @@ fn faulted_run(
         RuntimeConfig {
             shards,
             queue_capacity: 32,
-            recovery: Some(RecoveryPolicy { snapshot_every }),
+            snapshot_every,
             fault_plan: faults,
             ..RuntimeConfig::default()
         },
@@ -175,7 +175,7 @@ fn correlation_state_survives_worker_crashes() {
         RuntimeConfig {
             shards,
             queue_capacity: 32,
-            recovery: Some(RecoveryPolicy { snapshot_every: 64 }),
+            snapshot_every: 64,
             fault_plan: Some(Arc::clone(&plan)),
             ..RuntimeConfig::default()
         },
@@ -253,7 +253,7 @@ fn sketch_exchange_survives_mid_cadence_kills() {
     let (got, faulted, report) = drive(RuntimeConfig {
         shards,
         queue_capacity: 32,
-        recovery: Some(RecoveryPolicy { snapshot_every: 64 }),
+        snapshot_every: 64,
         fault_plan: Some(Arc::clone(&plan)),
         ..RuntimeConfig::default()
     });
@@ -322,7 +322,7 @@ fn grouped_delivery_matches_per_event_delivery() {
             RuntimeConfig {
                 shards,
                 queue_capacity: 32,
-                recovery: Some(RecoveryPolicy { snapshot_every: 64 }),
+                snapshot_every: 64,
                 fault_plan: Some(Arc::clone(&plan)),
                 telemetry: Some(registry.clone()),
                 ..RuntimeConfig::default()

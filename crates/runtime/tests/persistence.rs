@@ -15,15 +15,15 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use stardust_baselines::linear_scan;
 use stardust_core::query::aggregate::WindowSpec;
 use stardust_core::stream::StreamId;
 use stardust_core::transform::TransformKind;
 use stardust_core::unified::Event;
 use stardust_datagen::random_walk::{observed_r_max, random_walk_streams};
 use stardust_runtime::{
-    sort_events, AggregateSpec, Batch, DiskFaultKind, DiskFile, FaultPlan, MonitorSpec,
-    PersistConfig, RecoveryPolicy, RuntimeConfig, ShardedRuntime, SyncPolicy, TrendPattern,
-    TrendSpec,
+    sort_events, AggregateSpec, Batch, CorrelationSpec, DiskFaultKind, DiskFile, FaultPlan,
+    MonitorSpec, PersistConfig, RuntimeConfig, ShardedRuntime, SyncPolicy, TrendPattern, TrendSpec,
 };
 use stardust_telemetry::Registry;
 
@@ -103,7 +103,7 @@ fn config(shards: usize, faults: Option<Arc<FaultPlan>>, snapshot_every: u64) ->
     RuntimeConfig {
         shards,
         queue_capacity: 32,
-        recovery: Some(RecoveryPolicy { snapshot_every }),
+        snapshot_every,
         fault_plan: faults,
         ..RuntimeConfig::default()
     }
@@ -226,6 +226,71 @@ fn crash_and_reopen_recover_the_exact_event_set() {
         all_events.extend(rt.shutdown().events);
         sort_events(&mut all_events);
         assert_eq!(all_events, reference, "event set diverged at {shards} shards");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A query served straight after recovery, before any new append: the
+/// cross-group `correlated_pairs()` of a reopened runtime must equal the
+/// linear scan over the fed prefix, with zero false dismissals, whether
+/// `open()` replays from a snapshot or the whole journal. The prefix
+/// ends on a sketch-block boundary so pruning can fire.
+#[test]
+fn correlated_pairs_after_reopen_match_linear_scan() {
+    const WINDOW: usize = BASE_WINDOW << (LEVELS - 1);
+    const RADIUS: f64 = 0.5;
+    let (n_streams, n_values, fed) = (6, 256, 192);
+    let (mut streams, _) = workload(17, n_streams, n_values);
+    // Stream 1 (group 1 of 2) is an affine twin of stream 0 (group 0):
+    // a cross-group pair the ground truth must hold.
+    streams[1] = streams[0].iter().map(|x| 2.0 * x + 1.0).collect();
+    let r_max = observed_r_max(&streams);
+    let spec = MonitorSpec::new(BASE_WINDOW, LEVELS, r_max)
+        .with_correlations(CorrelationSpec { coeffs: 4, radius: RADIUS });
+    let prefix: Vec<Vec<f64>> = streams.iter().map(|s| s[..fed].to_vec()).collect();
+    let want: Vec<(StreamId, StreamId, f64)> =
+        linear_scan::correlated_pairs(&prefix, WINDOW, RADIUS)
+            .into_iter()
+            .map(|(a, b, corr)| (a as StreamId, b as StreamId, corr))
+            .collect();
+    assert!(want.iter().any(|&(a, b, _)| a % 2 != b % 2), "ground truth needs a cross-group pair");
+
+    for snapshot_every in [0u64, 64] {
+        let dir = tempdir(&format!("corr-{snapshot_every}"));
+        let config = RuntimeConfig {
+            shards: 2,
+            queue_capacity: 32,
+            snapshot_every,
+            sketch_cadence: 1,
+            ..RuntimeConfig::default()
+        };
+        let (rt, _) =
+            ShardedRuntime::open(&spec, n_streams, config.clone(), PersistConfig::new(&dir))
+                .unwrap();
+        for t in 0..fed {
+            let batch: Batch =
+                streams.iter().enumerate().map(|(s, x)| (s as StreamId, x[t])).collect();
+            rt.submit_blocking(&batch).unwrap();
+        }
+        rt.crash();
+
+        let (rt, report) =
+            ShardedRuntime::open(&spec, n_streams, config, PersistConfig::new(&dir)).unwrap();
+        assert_eq!(report.total_durable_appends(), (n_streams * fed) as u64);
+        let got = rt.correlated_pairs().unwrap();
+        for pair in &want {
+            assert!(
+                got.contains(pair),
+                "FALSE DISMISSAL (snapshot_every {snapshot_every}): {pair:?} missing from {got:?}"
+            );
+        }
+        assert_eq!(got, want, "reopened result diverged (snapshot_every {snapshot_every})");
+        if snapshot_every == 0 {
+            // The full-journal replay crossed every sketch boundary, so
+            // the board is pre-filled and the prune path ran.
+            assert!(rt.cross_corr_stats().pruned > 0, "{:?}", rt.cross_corr_stats());
+        }
+        rt.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,8 +19,8 @@ use stardust_core::unified::Event;
 use stardust_datagen::random_walk::{observed_r_max, random_walk_streams};
 use stardust_runtime::{
     sort_events, AggregateSpec, Batch, CorrelationSpec, FaultKind, FaultPlan, MigrationStep,
-    MonitorSpec, RebalanceAction, RecoveryPolicy, RuntimeConfig, RuntimeError, ShardedRuntime,
-    TrendPattern, TrendSpec,
+    MonitorSpec, RebalanceAction, RuntimeConfig, RuntimeError, ShardedRuntime, TrendPattern,
+    TrendSpec,
 };
 
 const BASE_WINDOW: usize = 16;
@@ -79,7 +79,7 @@ fn elastic_config(shards: usize, groups: usize) -> RuntimeConfig {
         groups,
         spare_shards: 1,
         queue_capacity: 32,
-        recovery: Some(RecoveryPolicy { snapshot_every: 64 }),
+        snapshot_every: 64,
         ..RuntimeConfig::default()
     }
 }
@@ -293,7 +293,7 @@ fn respawn_storm_fail_stops_the_shard() {
         RuntimeConfig {
             shards: 2,
             queue_capacity: 32,
-            recovery: Some(RecoveryPolicy { snapshot_every: 64 }),
+            snapshot_every: 64,
             fault_plan: Some(Arc::clone(&plan)),
             max_restarts_in_window: 2,
             restart_window: Duration::from_secs(30),
@@ -397,22 +397,11 @@ fn rebalance_policy_splits_hot_and_merges_cold() {
     assert_eq!(report.stats.total_appends(), fed);
 }
 
-/// Rebalancing without the recovery journal has no handoff mechanism;
-/// bad arguments are rejected before anything freezes.
+/// Bad rebalancing arguments are rejected before anything freezes.
 #[test]
-fn rebalance_validates_arguments_and_requires_recovery() {
+fn rebalance_validates_arguments() {
     let (streams, r_max) = workload(42);
     let spec = agg_trend_spec(&streams, r_max);
-
-    let bare = ShardedRuntime::launch(
-        &spec,
-        N_STREAMS,
-        RuntimeConfig { recovery: None, ..elastic_config(2, 4) },
-    )
-    .unwrap();
-    assert!(matches!(bare.split_shard(0, 2, &[2]), Err(RuntimeError::MigrationUnsupported)));
-    assert!(matches!(bare.rebalance_step(), Err(RuntimeError::MigrationUnsupported)));
-    bare.shutdown();
 
     let rt = ShardedRuntime::launch(&spec, N_STREAMS, elastic_config(2, 4)).unwrap();
     assert_eq!(rt.n_shards(), 3, "2 primaries + 1 spare");

@@ -879,9 +879,7 @@ struct RebalanceBench {
 /// restarts. The interesting number is how much of the hot shard's
 /// load the online split sheds without stopping the stream.
 fn rebalance_micro_bench(batch_rows: usize) -> Result<RebalanceBench, String> {
-    use stardust_runtime::{
-        Batch, CorrelationSpec, MonitorSpec, RecoveryPolicy, RuntimeConfig, ShardedRuntime,
-    };
+    use stardust_runtime::{Batch, CorrelationSpec, MonitorSpec, RuntimeConfig, ShardedRuntime};
     use stardust_telemetry::Registry;
 
     const M: usize = 16;
@@ -901,7 +899,7 @@ fn rebalance_micro_bench(batch_rows: usize) -> Result<RebalanceBench, String> {
             groups: 4,
             spare_shards: 1,
             queue_capacity: 32,
-            recovery: Some(RecoveryPolicy { snapshot_every: 64 }),
+            snapshot_every: 64,
             telemetry: Some(registry.clone()),
             ..RuntimeConfig::default()
         },
@@ -1434,7 +1432,7 @@ fn run_metrics(args: &Args, input: &str) -> Result<String, String> {
 /// reproduced the unfaulted event set bit for bit.
 fn run_chaos(args: &Args, input: &str) -> Result<String, String> {
     use stardust_runtime::{
-        sort_events, Batch, FaultPlan, RecoveryPolicy, RuntimeConfig, RuntimeStats, ShardedRuntime,
+        sort_events, Batch, FaultPlan, RuntimeConfig, RuntimeStats, ShardedRuntime,
     };
     use std::sync::Arc;
 
@@ -1470,7 +1468,7 @@ fn run_chaos(args: &Args, input: &str) -> Result<String, String> {
             RuntimeConfig {
                 shards,
                 queue_capacity: queue,
-                recovery: Some(RecoveryPolicy { snapshot_every }),
+                snapshot_every,
                 fault_plan: faults,
                 ..RuntimeConfig::default()
             },
@@ -1539,8 +1537,8 @@ fn run_chaos(args: &Args, input: &str) -> Result<String, String> {
 /// audited bit-exact.
 fn run_chaos_disk(args: &Args, input: &str) -> Result<String, String> {
     use stardust_runtime::{
-        sort_events, Batch, DiskFaultKind, DiskFile, FaultPlan, PersistConfig, RecoveryPolicy,
-        RuntimeConfig, RuntimeError, ShardedRuntime, SyncPolicy,
+        sort_events, Batch, DiskFaultKind, DiskFile, FaultPlan, PersistConfig, RuntimeConfig,
+        RuntimeError, ShardedRuntime, SyncPolicy,
     };
     use std::sync::Arc;
 
@@ -1632,7 +1630,7 @@ fn run_chaos_disk(args: &Args, input: &str) -> Result<String, String> {
         let config = |faults: Option<Arc<FaultPlan>>| RuntimeConfig {
             shards,
             queue_capacity: queue,
-            recovery: Some(RecoveryPolicy { snapshot_every }),
+            snapshot_every,
             fault_plan: faults,
             ..RuntimeConfig::default()
         };
@@ -1722,8 +1720,8 @@ fn run_chaos_disk(args: &Args, input: &str) -> Result<String, String> {
 /// audited bit-for-bit against a never-resized baseline (phase A).
 fn run_rebalance(args: &Args, input: &str) -> Result<String, String> {
     use stardust_runtime::{
-        sort_events, Batch, FaultKind, FaultPlan, MigrationStep, PersistConfig, RecoveryPolicy,
-        RuntimeConfig, ShardedRuntime, SyncPolicy,
+        sort_events, Batch, FaultKind, FaultPlan, MigrationStep, PersistConfig, RuntimeConfig,
+        ShardedRuntime, SyncPolicy,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -1757,7 +1755,7 @@ fn run_rebalance(args: &Args, input: &str) -> Result<String, String> {
         groups,
         spare_shards: 1,
         queue_capacity: queue,
-        recovery: Some(RecoveryPolicy { snapshot_every }),
+        snapshot_every,
         fault_plan,
         ..RuntimeConfig::default()
     };
