@@ -14,7 +14,7 @@ use crate::error::QueryError;
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use crate::stream::Time;
 use crate::summarizer::StreamSummary;
-use crate::transform::{MergePrecision, TransformKind};
+use crate::transform::TransformKind;
 
 /// Binary decomposition of a window (§5.1): the ascending resolution levels
 /// `j` with `Σ 2^j · base = window`. The first entry covers the most recent
@@ -334,7 +334,8 @@ impl AggregateMonitor {
 
 /// Composes the aggregate interval for a decomposed window ending at `t`
 /// (the merge loop of Algorithm 2). Returns `None` if some sub-window
-/// feature is unavailable.
+/// feature is unavailable. Aggregate features have at most two
+/// dimensions, so the running box lives in fixed arrays.
 fn compose_interval(
     summary: &StreamSummary,
     levels: &[usize],
@@ -342,22 +343,23 @@ fn compose_interval(
     kind: TransformKind,
 ) -> Option<(f64, f64)> {
     let base = summary.config().base_window;
-    let mut t_cur = t;
-    let mut acc: Option<stardust_dsp::mbr_transform::Bounds> = None;
-    for (i, &j) in levels.iter().enumerate() {
+    let d = kind.dims(0);
+    let (&first_level, rest) = levels.split_first()?;
+    let first = summary.mbr_at(first_level, t)?;
+    let (mut lo, mut hi) = ([0.0; 2], [0.0; 2]);
+    lo[..d].copy_from_slice(first.bounds.lo());
+    hi[..d].copy_from_slice(first.bounds.hi());
+    let (mut t_cur, mut prev_level) = (t, first_level);
+    for &j in rest {
+        t_cur = t_cur.checked_sub((base << prev_level) as u64)?;
         let mbr = summary.mbr_at(j, t_cur)?;
-        acc = Some(match acc {
-            None => mbr.bounds.clone(),
-            // Sub-windows are disjoint pieces of the full window; the
-            // aggregate merges of Lemma 4.2 are valid for any
-            // concatenation, not just equal halves.
-            Some(b) => kind.merge_bounds(&mbr.bounds, &b, MergePrecision::Fast),
-        });
-        if i + 1 < levels.len() {
-            t_cur = t_cur.checked_sub((base << j) as u64)?;
-        }
+        // Sub-windows are disjoint pieces of the full window; the
+        // aggregate merges of Lemma 4.2 are valid for any concatenation,
+        // not just equal halves.
+        (lo, hi) = kind.merge_aggregate((mbr.bounds.lo(), mbr.bounds.hi()), (&lo[..d], &hi[..d]));
+        prev_level = j;
     }
-    kind.aggregate_interval(&acc?)
+    kind.aggregate_interval(&lo[..d], &hi[..d])
 }
 
 /// The analytical model of §5.1: effective monitoring ratios and

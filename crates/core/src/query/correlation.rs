@@ -125,8 +125,22 @@ pub struct CorrelationMonitor {
     f: usize,
     verify: bool,
     stats: CorrelationStats,
+    scratch: FeatureScratch,
     telemetry: crate::telemetry::ClassTelemetry,
     index_telemetry: crate::telemetry::IndexTelemetry,
+}
+
+/// Per-feature buffers reused across arrivals. Derived state: never
+/// serialized.
+#[derive(Default)]
+struct FeatureScratch {
+    /// The approximation vector, consumed by the in-place DWT.
+    work: Vec<f64>,
+    /// Its ordered DWT coefficients.
+    ordered: Vec<f64>,
+    /// Partners found by the range query: (stream, feature time,
+    /// feature distance).
+    reported: Vec<(StreamId, Time, f64)>,
 }
 
 // Compact by hand: summaries and the feature tree carry full state.
@@ -187,6 +201,7 @@ impl CorrelationMonitor {
             f,
             verify: true,
             stats: CorrelationStats::default(),
+            scratch: FeatureScratch::default(),
             telemetry: crate::telemetry::ClassTelemetry::default(),
             index_telemetry: crate::telemetry::IndexTelemetry::default(),
         }
@@ -427,6 +442,7 @@ impl CorrelationMonitor {
             f,
             verify,
             stats,
+            scratch: FeatureScratch::default(),
             telemetry: crate::telemetry::ClassTelemetry::default(),
             index_telemetry: crate::telemetry::IndexTelemetry::default(),
         })
@@ -493,14 +509,19 @@ impl CorrelationMonitor {
             return Vec::new();
         }
         let scale = 1.0 / energy.sqrt();
-        let ordered = haar::dwt(mbr.bounds.lo());
-        let coords: Vec<f64> = ordered[1..=self.f].iter().map(|c| c * scale).collect();
+        let scratch = &mut self.scratch;
+        scratch.work.clear();
+        scratch.work.extend_from_slice(mbr.bounds.lo());
+        scratch.ordered.resize(scratch.work.len(), 0.0);
+        haar::dwt_into(&mut scratch.work, &mut scratch.ordered);
+        let coords: Vec<f64> = scratch.ordered[1..=self.f].iter().map(|c| c * scale).collect();
 
         // Range query before inserting ourselves; partners from other
         // streams within the lag horizon are reports.
         self.telemetry.checks.inc();
         let horizon = t.saturating_sub(self.lag_periods as u64 * period);
-        let mut reported: Vec<(StreamId, Time, f64)> = Vec::new();
+        let reported = &mut scratch.reported;
+        reported.clear();
         self.tree.search_within(&coords, self.radius, |rect, &(other, ot)| {
             // Point entries: min_dist to the rect is the exact feature
             // distance.
@@ -519,7 +540,7 @@ impl CorrelationMonitor {
         }
 
         let mut pairs = Vec::with_capacity(reported.len());
-        for (other, time_other, feature_distance) in reported {
+        for &(other, time_other, feature_distance) in &*reported {
             self.stats.reported += 1;
             self.telemetry.candidates.inc();
             let correlation = if self.verify {

@@ -109,7 +109,13 @@ pub struct TrendMonitor {
     patterns: Vec<Registered>,
     groups: BTreeMap<usize, LengthGroup>,
     stats: TrendStats,
+    /// Raw-window buffer for verification.
     scratch: Vec<f64>,
+    /// Probe buffers reused across arrivals: the query box corners and
+    /// the candidate pattern indices.
+    qlo: Vec<f64>,
+    qhi: Vec<f64>,
+    cands: Vec<usize>,
     /// Detached (free) unless attached; never serialized.
     telemetry: crate::telemetry::ClassTelemetry,
     /// R\*-tree counters drained from the per-length trees.
@@ -147,6 +153,9 @@ impl TrendMonitor {
             groups: BTreeMap::new(),
             stats: TrendStats::default(),
             scratch: Vec::new(),
+            qlo: Vec::new(),
+            qhi: Vec::new(),
+            cands: Vec::new(),
             telemetry: crate::telemetry::ClassTelemetry::default(),
             index_telemetry: crate::telemetry::IndexTelemetry::default(),
         }
@@ -288,6 +297,9 @@ impl TrendMonitor {
             groups: BTreeMap::new(),
             stats,
             scratch: Vec::new(),
+            qlo: Vec::new(),
+            qhi: Vec::new(),
+            cands: Vec::new(),
             telemetry: crate::telemetry::ClassTelemetry::default(),
             index_telemetry: crate::telemetry::IndexTelemetry::default(),
         };
@@ -325,14 +337,16 @@ impl TrendMonitor {
             self.telemetry.checks.inc();
             // Candidate patterns: those whose first sub-feature is within
             // the group's largest radius of the stream's feature box.
-            let mut cands: Vec<usize> = Vec::new();
-            let qrect = stardust_index::Rect::new(
-                mbr.bounds.lo().iter().map(|v| v - group.max_r_abs).collect(),
-                mbr.bounds.hi().iter().map(|v| v + group.max_r_abs).collect(),
-            );
-            group.tree.search_intersecting(&qrect, |_, &idx| cands.push(idx));
+            self.qlo.clear();
+            self.qlo.extend(mbr.bounds.lo().iter().map(|v| v - group.max_r_abs));
+            self.qhi.clear();
+            self.qhi.extend(mbr.bounds.hi().iter().map(|v| v + group.max_r_abs));
+            self.cands.clear();
+            group
+                .tree
+                .search_intersecting_box(&self.qlo, &self.qhi, |_, &idx| self.cands.push(idx));
 
-            for idx in cands {
+            for &idx in &self.cands {
                 let pat = &self.patterns[idx];
                 // Hierarchical radius refinement along the stream's own
                 // MBR thread (roles of Algorithm 3 swapped).

@@ -11,6 +11,15 @@
 //! Per-item cost: Θ(1) amortized for the aggregate transforms at level 0
 //! (running sum / monotonic deques), Θ(f) per due level above it
 //! (Theorem 4.3); space Θ(2^{j−1}·W / (c·T_{j−1})) at level `j−1`.
+//!
+//! The steady-state per-item path does not touch the heap. Each feature is
+//! computed into buffers the summary owns (the level-0 DWT window is
+//! averaged in place; level-`j` merges write through
+//! [`TransformKind::merge_bounds_into`]), and a new MBR's storage comes
+//! from a spare left by the last retirement at its level — at most one
+//! spare per level, so recycling never grows memory. [`StreamSummary::push`]
+//! and [`StreamSummary::push_quiet`] share one body; only `push` builds
+//! [`SummaryEvent`]s (and clones the sealed MBR into its event).
 
 use std::collections::VecDeque;
 
@@ -52,6 +61,9 @@ struct LevelState {
     period: u64,
     open: Option<FeatureMbr>,
     sealed: VecDeque<FeatureMbr>,
+    /// Storage of the last MBR retired without an event, reused by the
+    /// next MBR this level opens. Capped at one.
+    spare: Option<Bounds>,
 }
 
 impl LevelState {
@@ -116,7 +128,12 @@ pub struct StreamSummary {
     /// Running sum / sum of squares over the current base window.
     run_sum: f64,
     run_sumsq: f64,
+    /// Raw-window buffer for the level-0 DWT and direct features.
     scratch: Vec<f64>,
+    /// The feature being inserted at the current level.
+    feature: Bounds,
+    /// Scratch for the DWT interval merge's concatenated halves.
+    concat: Bounds,
     /// Lifecycle counters; detached (free) by default. Deliberately not
     /// serialized: a restored summary comes back detached and the owner
     /// re-attaches. Clones share the counter cells, so the per-stream
@@ -140,6 +157,7 @@ impl StreamSummary {
                 period: config.update.period(j, config.base_window),
                 open: None,
                 sealed: VecDeque::new(),
+                spare: None,
             })
             .collect();
         // +1 so the value leaving the base window (t − W) is still readable
@@ -154,6 +172,8 @@ impl StreamSummary {
             run_sum: 0.0,
             run_sumsq: 0.0,
             scratch: Vec::new(),
+            feature: Bounds::default(),
+            concat: Bounds::default(),
             telemetry: SummarizerTelemetry::default(),
         }
     }
@@ -325,7 +345,13 @@ impl StreamSummary {
                 prev_last = Some(m.last());
                 sealed.push_back(m);
             }
-            levels.push(LevelState { window: config.window_at(j), period, open, sealed });
+            levels.push(LevelState {
+                window: config.window_at(j),
+                period,
+                open,
+                sealed,
+                spare: None,
+            });
         }
         r.expect_end()?;
         Ok(StreamSummary {
@@ -337,6 +363,8 @@ impl StreamSummary {
             run_sum,
             run_sumsq,
             scratch: Vec::new(),
+            feature: Bounds::default(),
+            concat: Bounds::default(),
             telemetry: SummarizerTelemetry::default(),
         })
     }
@@ -344,8 +372,17 @@ impl StreamSummary {
     /// Appends one value, updating every due level bottom-up (Algorithm 1).
     /// Sealed/retired MBRs are appended to `events`.
     pub fn push(&mut self, value: f64, events: &mut Vec<SummaryEvent>) {
+        self.push_into(value, Some(events));
+    }
+
+    /// [`Self::push`] for callers that do not read the events: none are
+    /// built, and retired MBR storage is recycled instead.
+    pub fn push_quiet(&mut self, value: f64) {
+        self.push_into(value, None);
+    }
+
+    fn push_into(&mut self, value: f64, mut events: Option<&mut Vec<SummaryEvent>>) {
         self.telemetry.appends.inc();
-        let first_new = events.len();
         let w0 = self.config.base_window;
         let t = self.history.push(value);
         // Level-0 incremental state.
@@ -370,7 +407,8 @@ impl StreamSummary {
             if !(t + 1).is_multiple_of(period) || t + 1 < window {
                 continue;
             }
-            let (bounds, sum, sumsq) = if j == 0 {
+            // Each branch leaves the feature in `self.feature`.
+            let (sum, sumsq) = if j == 0 {
                 self.level0_feature(t)
             } else if self.config.compute == crate::config::ComputeMode::Direct {
                 // MR-Index-style maintenance: recompute the transform from
@@ -379,107 +417,101 @@ impl StreamSummary {
                 self.direct_feature(j, t)
             } else {
                 let half = self.levels[j - 1].window as u64;
-                let (lower, _upper) = self.levels.split_at(j);
-                let prev = &lower[j - 1];
+                let prev = &self.levels[j - 1];
                 let Some(left) = prev.find(t - half) else { continue };
                 let Some(right) = prev.find(t) else { continue };
-                let merged =
-                    self.config.transform.merge_bounds(&left.bounds, &right.bounds, self.precision);
+                self.config.transform.merge_bounds_into(
+                    &left.bounds,
+                    &right.bounds,
+                    self.precision,
+                    &mut self.concat,
+                    &mut self.feature,
+                );
                 let sum = (left.sum.0 + right.sum.0, left.sum.1 + right.sum.1);
                 let sumsq = (left.sumsq.0 + right.sumsq.0, left.sumsq.1 + right.sumsq.1);
-                (merged, sum, sumsq)
+                (sum, sumsq)
             };
-            self.insert_feature(j, bounds, sum, sumsq, t, events);
+            self.insert_feature(j, sum, sumsq, t, events.as_deref_mut());
         }
         self.retire(t, events);
-        if self.telemetry.sealed.is_enabled() {
-            for e in &events[first_new..] {
-                match e {
-                    SummaryEvent::Sealed { .. } => self.telemetry.sealed.inc(),
-                    SummaryEvent::Retired { .. } => self.telemetry.retired.inc(),
-                }
-            }
-        }
-    }
-
-    /// Convenience wrapper discarding events.
-    pub fn push_quiet(&mut self, value: f64) {
-        let mut events = Vec::new();
-        self.push(value, &mut events);
-    }
-
-    /// Appends a batch of values; equivalent to calling [`Self::push`]
-    /// once per value with the same `events` buffer. The batched form
-    /// amortizes the per-call dispatch for the runtime's queue drain.
-    pub fn push_all(&mut self, values: &[f64], events: &mut Vec<SummaryEvent>) {
-        for &value in values {
-            self.push(value, events);
-        }
     }
 
     /// Direct (non-incremental) feature of the level-`j` window ending at
     /// `t` — the `ComputeMode::Direct` path.
-    fn direct_feature(&mut self, level: usize, t: Time) -> (Bounds, (f64, f64), (f64, f64)) {
+    fn direct_feature(&mut self, level: usize, t: Time) -> ((f64, f64), (f64, f64)) {
         let w = self.levels[level].window;
-        let mut buf = std::mem::take(&mut self.scratch);
-        let ok = self.history.copy_window(t, w, &mut buf);
+        let ok = self.history.copy_window(t, w, &mut self.scratch);
         debug_assert!(ok, "window must be in history");
-        let coords = self.config.transform.compute(&buf, self.config.dwt_coeffs);
-        let sum: f64 = buf.iter().sum();
-        let sumsq: f64 = buf.iter().map(|v| v * v).sum();
-        self.scratch = buf;
-        (Bounds::point(&coords), (sum, sum), (sumsq, sumsq))
+        let coords = self.config.transform.compute(&self.scratch, self.config.dwt_coeffs);
+        let sum: f64 = self.scratch.iter().sum();
+        let sumsq: f64 = self.scratch.iter().map(|v| v * v).sum();
+        self.feature.set_point(&coords);
+        ((sum, sum), (sumsq, sumsq))
     }
 
-    fn level0_feature(&mut self, t: Time) -> (Bounds, (f64, f64), (f64, f64)) {
-        let w0 = self.config.base_window;
-        let coords: Vec<f64> = match self.config.transform {
-            TransformKind::Sum => vec![self.run_sum],
-            TransformKind::Max => vec![self.deques.max()],
-            TransformKind::Min => vec![self.deques.min()],
-            TransformKind::Spread => vec![self.deques.max(), self.deques.min()],
-            TransformKind::Dwt => {
-                let mut buf = std::mem::take(&mut self.scratch);
-                let ok = self.history.copy_window(t, w0, &mut buf);
-                debug_assert!(ok, "base window must be in history");
-                let coeffs = haar::approx(&buf, self.config.dwt_coeffs);
-                self.scratch = buf;
-                coeffs
+    fn level0_feature(&mut self, t: Time) -> ((f64, f64), (f64, f64)) {
+        match self.config.transform {
+            TransformKind::Sum => self.feature.set_point(&[self.run_sum]),
+            TransformKind::Max => self.feature.set_point(&[self.deques.max()]),
+            TransformKind::Min => self.feature.set_point(&[self.deques.min()]),
+            TransformKind::Spread => {
+                self.feature.set_point(&[self.deques.max(), self.deques.min()]);
             }
-        };
-        (Bounds::point(&coords), (self.run_sum, self.run_sum), (self.run_sumsq, self.run_sumsq))
+            TransformKind::Dwt => {
+                let ok = self.history.copy_window(t, self.config.base_window, &mut self.scratch);
+                debug_assert!(ok, "base window must be in history");
+                let coeffs = haar::approx_in_place(&mut self.scratch, self.config.dwt_coeffs);
+                self.feature.set_point(coeffs);
+            }
+        }
+        ((self.run_sum, self.run_sum), (self.run_sumsq, self.run_sumsq))
     }
 
     fn insert_feature(
         &mut self,
         level: usize,
-        bounds: Bounds,
         sum: (f64, f64),
         sumsq: (f64, f64),
         t: Time,
-        events: &mut Vec<SummaryEvent>,
+        events: Option<&mut Vec<SummaryEvent>>,
     ) {
         let capacity = self.config.box_capacity;
         let st = &mut self.levels[level];
         match &mut st.open {
             None => {
+                let bounds = match st.spare.take() {
+                    Some(mut spare) => {
+                        spare.clone_from(&self.feature);
+                        spare
+                    }
+                    None => self.feature.clone(),
+                };
                 st.open = Some(FeatureMbr::first(bounds, sum, sumsq, t, st.period));
             }
-            Some(m) => m.absorb(&bounds, sum, sumsq, t),
+            Some(m) => m.absorb(&self.feature, sum, sumsq, t),
         }
         if st.open.as_ref().map(|m| m.count) == Some(capacity) {
             let mbr = st.open.take().expect("just checked");
-            events.push(SummaryEvent::Sealed { level, mbr: mbr.clone() });
+            self.telemetry.sealed.inc();
+            if let Some(events) = events {
+                events.push(SummaryEvent::Sealed { level, mbr: mbr.clone() });
+            }
             st.sealed.push_back(mbr);
         }
     }
 
-    fn retire(&mut self, t: Time, events: &mut Vec<SummaryEvent>) {
+    fn retire(&mut self, t: Time, mut events: Option<&mut Vec<SummaryEvent>>) {
         let horizon = t.saturating_sub(self.config.history as u64);
         for (level, st) in self.levels.iter_mut().enumerate() {
             while st.sealed.front().is_some_and(|m| m.last() < horizon) {
                 let mbr = st.sealed.pop_front().expect("just checked");
-                events.push(SummaryEvent::Retired { level, mbr });
+                self.telemetry.retired.inc();
+                match events.as_deref_mut() {
+                    Some(events) => events.push(SummaryEvent::Retired { level, mbr }),
+                    None => {
+                        st.spare.get_or_insert(mbr.bounds);
+                    }
+                }
             }
         }
     }
@@ -661,6 +693,43 @@ mod tests {
         // Everything sealed is eventually retired or still retained.
         let still: usize = (0..3).map(|j| s.sealed_mbrs(j).count()).sum();
         assert_eq!(sealed, retired + still);
+    }
+
+    /// The lifecycle counters are bumped at seal/retire time, so they
+    /// advance identically with and without events and match the event
+    /// counts.
+    #[test]
+    fn lifecycle_counters_match_events_with_and_without_them() {
+        let cfg = Config::online(TransformKind::Dwt, 8, 3, 4).with_history(64);
+        let (reg_loud, reg_quiet) =
+            (stardust_telemetry::Registry::new(), stardust_telemetry::Registry::new());
+        let (tel_loud, tel_quiet) =
+            (SummarizerTelemetry::new(&reg_loud), SummarizerTelemetry::new(&reg_quiet));
+        let mut loud = StreamSummary::new(cfg.clone());
+        let mut quiet = StreamSummary::new(cfg);
+        loud.set_telemetry(tel_loud.clone());
+        quiet.set_telemetry(tel_quiet.clone());
+        let mut events = Vec::new();
+        let (mut sealed, mut retired) = (0u64, 0u64);
+        for (i, x) in series(1000).into_iter().enumerate() {
+            events.clear();
+            loud.push(x, &mut events);
+            quiet.push_quiet(x);
+            for e in &events {
+                match e {
+                    SummaryEvent::Sealed { .. } => sealed += 1,
+                    SummaryEvent::Retired { .. } => retired += 1,
+                }
+            }
+            assert_eq!(tel_loud.sealed.get(), sealed, "sealed, loud, t={i}");
+            assert_eq!(tel_quiet.sealed.get(), sealed, "sealed, quiet, t={i}");
+            assert_eq!(tel_loud.retired.get(), retired, "retired, loud, t={i}");
+            assert_eq!(tel_quiet.retired.get(), retired, "retired, quiet, t={i}");
+        }
+        assert!(sealed > 0 && retired > 0);
+        assert_eq!(tel_quiet.appends.get(), 1000);
+        // Recycling changes no observable state.
+        assert_eq!(loud.snapshot(), quiet.snapshot());
     }
 
     /// MBRs older than the history horizon are unreachable.

@@ -13,7 +13,7 @@
 //!   Θ(2^{2f}·f) with the tight Online I corner enumeration).
 
 use stardust_dsp::haar;
-use stardust_dsp::mbr_transform::Bounds;
+use stardust_dsp::mbr_transform::{check_corners, Bounds};
 use stardust_dsp::FilterBank;
 
 /// Which transform the summarizer applies to each window.
@@ -98,44 +98,83 @@ impl TransformKind {
     /// # Panics
     /// Panics on dimensionality mismatches.
     pub fn merge_bounds(self, left: &Bounds, right: &Bounds, precision: MergePrecision) -> Bounds {
+        let mut out = Bounds::default();
+        self.merge_bounds_into(left, right, precision, &mut Bounds::default(), &mut out);
+        out
+    }
+
+    /// [`Self::merge_bounds`] into `out`, reusing its storage; `concat`
+    /// is scratch for the DWT's concatenated halves. With
+    /// [`MergePrecision::Fast`] this does not allocate once both buffers
+    /// have grown to size.
+    ///
+    /// # Panics
+    /// Panics on dimensionality mismatches.
+    pub fn merge_bounds_into(
+        self,
+        left: &Bounds,
+        right: &Bounds,
+        precision: MergePrecision,
+        concat: &mut Bounds,
+        out: &mut Bounds,
+    ) {
         assert_eq!(left.dims(), right.dims(), "half bounds dimensionality mismatch");
         match self {
-            TransformKind::Sum => {
-                Bounds::new(vec![left.lo()[0] + right.lo()[0]], vec![left.hi()[0] + right.hi()[0]])
-            }
-            TransformKind::Max => Bounds::new(
-                vec![left.lo()[0].max(right.lo()[0])],
-                vec![left.hi()[0].max(right.hi()[0])],
-            ),
-            TransformKind::Min => Bounds::new(
-                vec![left.lo()[0].min(right.lo()[0])],
-                vec![left.hi()[0].min(right.hi()[0])],
-            ),
-            TransformKind::Spread => Bounds::new(
-                vec![left.lo()[0].max(right.lo()[0]), left.lo()[1].min(right.lo()[1])],
-                vec![left.hi()[0].max(right.hi()[0]), left.hi()[1].min(right.hi()[1])],
-            ),
             TransformKind::Dwt => {
-                let concat = left.concat(right);
+                left.concat_into(right, concat);
                 let bank = FilterBank::haar();
                 match precision {
-                    MergePrecision::Fast => concat.analyze_online2(&bank),
-                    MergePrecision::Tight => concat.analyze_online1(&bank),
+                    MergePrecision::Fast => concat.analyze_online2_into(&bank, out),
+                    MergePrecision::Tight => *out = concat.analyze_online1(&bank),
                 }
             }
+            _ => {
+                let (lo, hi) =
+                    self.merge_aggregate((left.lo(), left.hi()), (right.lo(), right.hi()));
+                let d = self.dims(0);
+                out.set(&lo[..d], &hi[..d]);
+            }
         }
+    }
+
+    /// The Lemma 4.2 interval merge for the scalar aggregates
+    /// (SUM/MAX/MIN/SPREAD) over `(lo, hi)` corner slices, returning the
+    /// merged corners in fixed arrays (these features have at most two
+    /// dimensions; unused entries are 0). Operand order matches
+    /// [`Self::merge_bounds`] with `left` first.
+    ///
+    /// # Panics
+    /// Panics for the DWT, on dimensionality mismatches, or if the merged
+    /// corners are inverted.
+    pub fn merge_aggregate(
+        self,
+        left: (&[f64], &[f64]),
+        right: (&[f64], &[f64]),
+    ) -> ([f64; 2], [f64; 2]) {
+        let ((llo, lhi), (rlo, rhi)) = (left, right);
+        assert_eq!(llo.len(), rlo.len(), "half bounds dimensionality mismatch");
+        let (lo, hi) = match self {
+            TransformKind::Sum => ([llo[0] + rlo[0], 0.0], [lhi[0] + rhi[0], 0.0]),
+            TransformKind::Max => ([llo[0].max(rlo[0]), 0.0], [lhi[0].max(rhi[0]), 0.0]),
+            TransformKind::Min => ([llo[0].min(rlo[0]), 0.0], [lhi[0].min(rhi[0]), 0.0]),
+            TransformKind::Spread => {
+                ([llo[0].max(rlo[0]), llo[1].min(rlo[1])], [lhi[0].max(rhi[0]), lhi[1].min(rhi[1])])
+            }
+            TransformKind::Dwt => panic!("the DWT has no scalar aggregate merge"),
+        };
+        let d = self.dims(0);
+        check_corners(&lo[..d], &hi[..d]);
+        (lo, hi)
     }
 
     /// Maps a feature box to the scalar interval `[lo, hi]` bounding the
     /// monitored aggregate: the sum for SUM, max for MAX, min for MIN, and
     /// `max − min` for SPREAD. Returns `None` for the DWT (no scalar
     /// aggregate).
-    pub fn aggregate_interval(self, b: &Bounds) -> Option<(f64, f64)> {
+    pub fn aggregate_interval(self, lo: &[f64], hi: &[f64]) -> Option<(f64, f64)> {
         match self {
-            TransformKind::Sum | TransformKind::Max | TransformKind::Min => {
-                Some((b.lo()[0], b.hi()[0]))
-            }
-            TransformKind::Spread => Some((b.lo()[0] - b.hi()[1], b.hi()[0] - b.lo()[1])),
+            TransformKind::Sum | TransformKind::Max | TransformKind::Min => Some((lo[0], hi[0])),
+            TransformKind::Spread => Some((lo[0] - hi[1], hi[0] - lo[1])),
             TransformKind::Dwt => None,
         }
     }
@@ -246,6 +285,40 @@ mod tests {
         }
     }
 
+    /// Reused buffers give the same bits as fresh ones, and the fixed-array
+    /// aggregate merge agrees with the `Bounds` merge.
+    #[test]
+    fn merge_into_reuses_buffers_bit_identically() {
+        let (left, right, _) = windows();
+        let (mut concat, mut out) = (Bounds::point(&[7.0; 3]), Bounds::point(&[7.0; 5]));
+        for kind in [
+            TransformKind::Sum,
+            TransformKind::Max,
+            TransformKind::Min,
+            TransformKind::Spread,
+            TransformKind::Dwt,
+        ] {
+            let (fl, fr) = (kind.compute(&left, 4), kind.compute(&right, 4));
+            let bl = Bounds::new(
+                fl.iter().map(|v| v - 0.5).collect(),
+                fl.iter().map(|v| v + 0.3).collect(),
+            );
+            let br = Bounds::point(&fr);
+            let fresh = kind.merge_bounds(&bl, &br, MergePrecision::Fast);
+            kind.merge_bounds_into(&bl, &br, MergePrecision::Fast, &mut concat, &mut out);
+            assert_eq!(out, fresh, "{kind:?}");
+            if kind != TransformKind::Dwt {
+                let d = kind.dims(4);
+                let (lo, hi) = kind.merge_aggregate((bl.lo(), bl.hi()), (br.lo(), br.hi()));
+                assert_eq!((&lo[..d], &hi[..d]), (fresh.lo(), fresh.hi()), "{kind:?}");
+                assert_eq!(
+                    kind.aggregate_interval(&lo[..d], &hi[..d]),
+                    kind.aggregate_interval(fresh.lo(), fresh.hi())
+                );
+            }
+        }
+    }
+
     #[test]
     fn tight_merge_never_looser_than_fast() {
         let bl = Bounds::new(vec![-1.0, 0.0, 1.0, 2.0], vec![0.0, 2.0, 1.5, 2.5]);
@@ -261,7 +334,7 @@ mod tests {
         let feat = TransformKind::Spread.compute(&window, 0);
         assert_eq!(feat, vec![9.0, 1.0]);
         let b = Bounds::new(vec![8.5, 0.5], vec![9.5, 1.5]);
-        let (lo, hi) = TransformKind::Spread.aggregate_interval(&b).unwrap();
+        let (lo, hi) = TransformKind::Spread.aggregate_interval(b.lo(), b.hi()).unwrap();
         let true_spread = TransformKind::Spread.scalar_aggregate(&window).unwrap();
         assert!(lo <= true_spread && true_spread <= hi);
         assert!((true_spread - 8.0).abs() < EPS);
@@ -270,8 +343,8 @@ mod tests {
     #[test]
     fn aggregate_interval_for_sum() {
         let b = Bounds::new(vec![10.0], vec![14.0]);
-        assert_eq!(TransformKind::Sum.aggregate_interval(&b), Some((10.0, 14.0)));
-        assert_eq!(TransformKind::Dwt.aggregate_interval(&b), None);
+        assert_eq!(TransformKind::Sum.aggregate_interval(b.lo(), b.hi()), Some((10.0, 14.0)));
+        assert_eq!(TransformKind::Dwt.aggregate_interval(b.lo(), b.hi()), None);
     }
 
     #[test]

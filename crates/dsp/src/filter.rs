@@ -8,18 +8,24 @@
 //! Lemma A.2's δ-split handles. This module implements both the filtering and
 //! the split.
 
+use std::borrow::Cow;
+
+/// The Haar low-pass taps, shared by every [`FilterBank::haar`].
+const HAAR_TAPS: [f64; 2] = [crate::haar::INV_SQRT2; 2];
+
 /// A two-channel analysis filter bank described by its low-pass
 /// decomposition filter `h̃` (the high-pass is the quadrature mirror, used
 /// only for detail coefficients, which Stardust discards).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FilterBank {
-    lowpass: Vec<f64>,
+    lowpass: Cow<'static, [f64]>,
 }
 
 impl FilterBank {
-    /// The Haar filter bank, `h̃ = [1/√2, 1/√2]`.
+    /// The Haar filter bank, `h̃ = [1/√2, 1/√2]`. Borrows static taps, so
+    /// building one does not allocate.
     pub fn haar() -> Self {
-        FilterBank { lowpass: vec![crate::haar::INV_SQRT2; 2] }
+        FilterBank { lowpass: Cow::Borrowed(&HAAR_TAPS) }
     }
 
     /// The Daubechies-4 (two-vanishing-moment) filter bank. Its low-pass
@@ -28,12 +34,12 @@ impl FilterBank {
         let s3 = 3f64.sqrt();
         let norm = 4.0 * 2f64.sqrt();
         FilterBank {
-            lowpass: vec![
+            lowpass: Cow::Owned(vec![
                 (1.0 + s3) / norm,
                 (3.0 + s3) / norm,
                 (3.0 - s3) / norm,
                 (1.0 - s3) / norm,
-            ],
+            ]),
         }
     }
 
@@ -43,7 +49,7 @@ impl FilterBank {
     /// Panics if `taps` is empty.
     pub fn from_taps(taps: Vec<f64>) -> Self {
         assert!(!taps.is_empty(), "filter needs at least one tap");
-        FilterBank { lowpass: taps }
+        FilterBank { lowpass: Cow::Owned(taps) }
     }
 
     /// The low-pass taps.
@@ -71,17 +77,27 @@ impl FilterBank {
     /// # Panics
     /// Panics if `x.len()` is odd or zero.
     pub fn analyze(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; x.len() / 2];
+        self.analyze_into(x, &mut out);
+        out
+    }
+
+    /// [`FilterBank::analyze`] into a caller buffer of `x.len() / 2`
+    /// coefficients; allocation-free.
+    ///
+    /// # Panics
+    /// Panics if `x.len()` is odd or zero, or `out` has the wrong length.
+    pub fn analyze_into(&self, x: &[f64], out: &mut [f64]) {
         assert!(!x.is_empty() && x.len().is_multiple_of(2), "analysis needs even, nonzero length");
+        assert_eq!(out.len(), x.len() / 2, "output buffer must hold half the input length");
         let n = x.len();
-        let mut out = Vec::with_capacity(n / 2);
-        for i in 0..n / 2 {
+        for (i, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (k, &h) in self.lowpass.iter().enumerate() {
                 acc += h * x[(2 * i + k) % n];
             }
-            out.push(acc);
+            *o = acc;
         }
-        out
     }
 
     /// Like [`FilterBank::analyze`] but with the taps shifted by an additive

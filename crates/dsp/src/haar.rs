@@ -51,6 +51,28 @@ fn pairwise_avg_into(src: &[f64], out: &mut [f64]) {
     }
 }
 
+/// In-place form of [`pairwise_avg_into`]: averages the pairs of `x`
+/// (even length `2m`) into `x[..m]`, same expression, same order. Each
+/// chunk reads its `2·LANES` inputs before writing its `LANES` outputs,
+/// and every output slot lies at or before the inputs still to be read.
+#[inline]
+fn pairwise_avg_in_place(x: &mut [f64]) {
+    debug_assert!(x.len().is_multiple_of(2));
+    let m = x.len() / 2;
+    let mut i = 0;
+    while i + LANES <= m {
+        let mut s = [0.0; 2 * LANES];
+        s.copy_from_slice(&x[2 * i..2 * (i + LANES)]);
+        for k in 0..LANES {
+            x[i + k] = (s[2 * k] + s[2 * k + 1]) * INV_SQRT2;
+        }
+        i += LANES;
+    }
+    for i in i..m {
+        x[i] = (x[2 * i] + x[2 * i + 1]) * INV_SQRT2;
+    }
+}
+
 /// Differencing twin of [`pairwise_avg_into`]: `(src[2i] − src[2i+1]) · 1/√2`.
 #[inline]
 fn pairwise_diff_into(src: &[f64], out: &mut [f64]) {
@@ -111,19 +133,32 @@ pub fn differencing_step(x: &[f64]) -> Vec<f64> {
 /// # Panics
 /// Panics if `x.len()` is not a power of two.
 pub fn dwt(x: &[f64]) -> Vec<f64> {
-    assert!(is_pow2(x.len()), "Haar DWT needs a power-of-two length, got {}", x.len());
-    let mut details: Vec<Vec<f64>> = Vec::new();
-    let mut approx = x.to_vec();
-    while approx.len() > 1 {
-        details.push(differencing_step(&approx));
-        approx = averaging_step(&approx);
-    }
-    let mut out = Vec::with_capacity(x.len());
-    out.extend_from_slice(&approx);
-    for d in details.iter().rev() {
-        out.extend_from_slice(d);
-    }
+    let mut work = x.to_vec();
+    let mut out = vec![0.0; x.len()];
+    dwt_into(&mut work, &mut out);
     out
+}
+
+/// [`dwt`] without allocation: `work` holds the signal on entry and is
+/// used as scratch (its contents are clobbered); the ordered coefficients
+/// are written to `out`.
+///
+/// # Panics
+/// Panics if `work.len()` is not a power of two or `out` has a different
+/// length.
+pub fn dwt_into(work: &mut [f64], out: &mut [f64]) {
+    let n = work.len();
+    assert!(is_pow2(n), "Haar DWT needs a power-of-two length, got {n}");
+    assert_eq!(out.len(), n, "output buffer must match the signal length");
+    // Detail level l lands in out[len/2..len]; the approximation shrinks
+    // in place in work[..len].
+    let mut len = n;
+    while len > 1 {
+        pairwise_diff_into(&work[..len], &mut out[len / 2..len]);
+        pairwise_avg_in_place(&mut work[..len]);
+        len /= 2;
+    }
+    out[0] = work[0];
 }
 
 /// Inverse of [`dwt`]: reconstructs the signal from the ordered coefficient
@@ -157,14 +192,28 @@ pub fn idwt(coeffs: &[f64]) -> Vec<f64> {
 /// # Panics
 /// Panics if `x.len()` or `keep` is not a power of two, or `keep > x.len()`.
 pub fn approx(x: &[f64], keep: usize) -> Vec<f64> {
+    let mut a = x.to_vec();
+    approx_in_place(&mut a, keep);
+    a.truncate(keep);
+    a
+}
+
+/// [`approx`] without allocation: repeated in-place averaging steps over
+/// `x`, returning the `keep` coefficients as the prefix `x[..keep]` (the
+/// rest of `x` is clobbered).
+///
+/// # Panics
+/// Panics if `x.len()` or `keep` is not a power of two, or `keep > x.len()`.
+pub fn approx_in_place(x: &mut [f64], keep: usize) -> &[f64] {
     assert!(is_pow2(x.len()), "signal length must be a power of two");
     assert!(is_pow2(keep), "keep length must be a power of two");
     assert!(keep <= x.len(), "cannot keep more coefficients than samples");
-    let mut a = x.to_vec();
-    while a.len() > keep {
-        a = averaging_step(&a);
+    let mut len = x.len();
+    while len > keep {
+        pairwise_avg_in_place(&mut x[..len]);
+        len /= 2;
     }
-    a
+    &x[..keep]
 }
 
 /// **Lemma A.1** — exact incremental merge.
@@ -334,6 +383,49 @@ mod tests {
             for c in a {
                 assert!((c - constant_coefficient(w, keep)).abs() < EPS);
             }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn signal(n: usize) -> Vec<f64> {
+        (0..n).map(|i| (i as f64 * 0.37).sin() * 7.0 + (i % 5) as f64 * 0.1).collect()
+    }
+
+    /// The in-place kernels compute exactly what the step-by-step
+    /// pyramid computes, bit for bit, across chunked and tail lengths.
+    #[test]
+    fn in_place_approx_matches_stepwise_bits() {
+        for n in [1usize, 2, 4, 8, 16, 64] {
+            let x = signal(n);
+            let mut keep = n;
+            while keep >= 1 {
+                let mut reference = x.clone();
+                while reference.len() > keep {
+                    reference = averaging_step(&reference);
+                }
+                assert_eq!(bits(&approx(&x, keep)), bits(&reference), "n={n} keep={keep}");
+                keep /= 2;
+            }
+        }
+    }
+
+    #[test]
+    fn dwt_into_matches_stepwise_bits() {
+        for n in [1usize, 2, 8, 32] {
+            let x = signal(n);
+            let mut details = Vec::new();
+            let mut a = x.clone();
+            while a.len() > 1 {
+                details.push(differencing_step(&a));
+                a = averaging_step(&a);
+            }
+            for d in details.iter().rev() {
+                a.extend_from_slice(d);
+            }
+            assert_eq!(bits(&dwt(&x)), bits(&a), "n={n}");
         }
     }
 

@@ -20,16 +20,48 @@ use crate::filter::FilterBank;
 
 /// An axis-aligned hyper-rectangle in feature space, the `B` of the paper:
 /// `B[2i]`/`B[2i+1]` are the low/high coordinates of dimension `i`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Bounds::default()` is an empty (zero-dimensional) placeholder for the
+/// `*_into` forms below, which overwrite a caller-owned rectangle and reuse
+/// its storage; every allocating constructor and transform is a thin
+/// wrapper over one of them.
+#[derive(Debug, Default, PartialEq)]
 pub struct Bounds {
     lo: Vec<f64>,
     hi: Vec<f64>,
 }
 
+// By hand so `clone_from` reuses the destination's storage.
+impl Clone for Bounds {
+    fn clone(&self) -> Self {
+        Bounds { lo: self.lo.clone(), hi: self.hi.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.lo.clone_from(&source.lo);
+        self.hi.clone_from(&source.hi);
+    }
+}
+
+/// Checks that `lo`/`hi` form a valid rectangle: equal, nonzero
+/// dimensionality and `lo ≤ hi` in every dimension.
+///
+/// # Panics
+/// Panics if they do not.
+pub fn check_corners(lo: &[f64], hi: &[f64]) {
+    assert_eq!(lo.len(), hi.len(), "lo/hi dimensionality mismatch");
+    assert!(!lo.is_empty(), "bounds need at least one dimension");
+    for (l, h) in lo.iter().zip(hi) {
+        assert!(l <= h, "inverted bounds: lo {l} > hi {h}");
+    }
+}
+
 impl Bounds {
     /// A degenerate rectangle containing the single point `p`.
     pub fn point(p: &[f64]) -> Self {
-        Bounds { lo: p.to_vec(), hi: p.to_vec() }
+        let mut b = Bounds::default();
+        b.set_point(p);
+        b
     }
 
     /// A rectangle from explicit low/high coordinates.
@@ -38,12 +70,30 @@ impl Bounds {
     /// Panics if the vectors differ in length, are empty, or `lo > hi` in
     /// some dimension.
     pub fn new(lo: Vec<f64>, hi: Vec<f64>) -> Self {
-        assert_eq!(lo.len(), hi.len(), "lo/hi dimensionality mismatch");
-        assert!(!lo.is_empty(), "bounds need at least one dimension");
-        for (l, h) in lo.iter().zip(&hi) {
-            assert!(l <= h, "inverted bounds: lo {l} > hi {h}");
-        }
+        check_corners(&lo, &hi);
         Bounds { lo, hi }
+    }
+
+    /// Overwrites `self` with the degenerate rectangle at `p`, reusing its
+    /// storage.
+    pub fn set_point(&mut self, p: &[f64]) {
+        self.lo.clear();
+        self.lo.extend_from_slice(p);
+        self.hi.clear();
+        self.hi.extend_from_slice(p);
+    }
+
+    /// Overwrites `self` with the rectangle `[lo, hi]`, reusing its
+    /// storage.
+    ///
+    /// # Panics
+    /// Panics under the same conditions as [`Bounds::new`].
+    pub fn set(&mut self, lo: &[f64], hi: &[f64]) {
+        check_corners(lo, hi);
+        self.lo.clear();
+        self.lo.extend_from_slice(lo);
+        self.hi.clear();
+        self.hi.extend_from_slice(hi);
     }
 
     /// Number of dimensions.
@@ -104,11 +154,19 @@ impl Bounds {
     /// represents all signals whose first half lies in `self` and second
     /// half in `other`.
     pub fn concat(&self, other: &Bounds) -> Bounds {
-        let mut lo = self.lo.clone();
-        lo.extend_from_slice(&other.lo);
-        let mut hi = self.hi.clone();
-        hi.extend_from_slice(&other.hi);
-        Bounds { lo, hi }
+        let mut out = Bounds::default();
+        self.concat_into(other, &mut out);
+        out
+    }
+
+    /// [`Bounds::concat`] into `out`, reusing its storage.
+    pub fn concat_into(&self, other: &Bounds, out: &mut Bounds) {
+        out.lo.clear();
+        out.lo.extend_from_slice(&self.lo);
+        out.lo.extend_from_slice(&other.lo);
+        out.hi.clear();
+        out.hi.extend_from_slice(&self.hi);
+        out.hi.extend_from_slice(&other.hi);
     }
 
     /// Scales every coordinate by `s ≥ 0` (normalization is linear).
@@ -164,19 +222,34 @@ impl Bounds {
     /// # Panics
     /// Panics if the dimensionality is odd.
     pub fn analyze_online2(&self, bank: &FilterBank) -> Bounds {
+        let mut out = Bounds::default();
+        self.analyze_online2_into(bank, &mut out);
+        out
+    }
+
+    /// [`Bounds::analyze_online2`] into `out`, reusing its storage; for a
+    /// nonnegative filter (Haar) this does not allocate.
+    ///
+    /// # Panics
+    /// Panics if the dimensionality is odd.
+    pub fn analyze_online2_into(&self, bank: &FilterBank, out: &mut Bounds) {
         let d = bank.delta();
         if d == 0.0 {
             // Nonnegative filter (Haar): corners transform monotonically.
-            return Bounds { lo: bank.analyze(&self.lo), hi: bank.analyze(&self.hi) };
+            let half = self.dims() / 2;
+            out.lo.resize(half, 0.0);
+            out.hi.resize(half, 0.0);
+            bank.analyze_into(&self.lo, &mut out.lo);
+            bank.analyze_into(&self.hi, &mut out.hi);
+            return;
         }
         // Equations 16–17.
         let lo_plus = bank.analyze_shifted(&self.lo, d);
         let hi_plus = bank.analyze_shifted(&self.hi, d);
         let lo_delta = bank.analyze_delta(&self.lo, d);
         let hi_delta = bank.analyze_delta(&self.hi, d);
-        let lo: Vec<f64> = lo_plus.iter().zip(&hi_delta).map(|(a, b)| a - b).collect();
-        let hi: Vec<f64> = hi_plus.iter().zip(&lo_delta).map(|(a, b)| a - b).collect();
-        Bounds { lo, hi }
+        out.lo = lo_plus.iter().zip(&hi_delta).map(|(a, b)| a - b).collect();
+        out.hi = hi_plus.iter().zip(&lo_delta).map(|(a, b)| a - b).collect();
     }
 
     /// **Online I**: one analysis step applied to the rectangle by
@@ -355,5 +428,27 @@ mod tests {
     #[should_panic(expected = "inverted bounds")]
     fn inverted_bounds_rejected() {
         let _ = Bounds::new(vec![1.0], vec![0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inverted bounds")]
+    fn inverted_set_rejected() {
+        Bounds::point(&[0.0]).set(&[1.0], &[0.0]);
+    }
+
+    /// The `_into` forms overwrite whatever the destination held.
+    #[test]
+    fn into_forms_overwrite_reused_buffers() {
+        let bank = FilterBank::haar();
+        let b = sample_bounds();
+        let mut out = Bounds::new(vec![-9.0; 6], vec![9.0; 6]);
+        b.analyze_online2_into(&bank, &mut out);
+        assert_eq!(out, b.analyze_online2(&bank));
+        let mut cat = Bounds::point(&[5.0; 9]);
+        b.concat_into(&Bounds::point(&[1.0]), &mut cat);
+        assert_eq!(cat, b.concat(&Bounds::point(&[1.0])));
+        let mut copy = Bounds::point(&[3.0]);
+        copy.clone_from(&b);
+        assert_eq!(copy, b);
     }
 }

@@ -527,17 +527,26 @@ pub struct Rect {
     hi: Box<[f64]>,
 }
 
+/// The [`Rect::new`] invariants on borrowed corners: equal, nonzero
+/// dimensionality and `lo ≤ hi` in every dimension.
+///
+/// # Panics
+/// Panics if they do not hold.
+pub(crate) fn check_corners(lo: &[f64], hi: &[f64]) {
+    assert_eq!(lo.len(), hi.len(), "corner dimensionality mismatch");
+    assert!(!lo.is_empty(), "rectangles need at least one dimension");
+    for (l, h) in lo.iter().zip(hi) {
+        assert!(l <= h, "inverted rectangle: lo {l} > hi {h}");
+    }
+}
+
 impl Rect {
     /// Builds a rectangle from low/high corners.
     ///
     /// # Panics
     /// Panics if the corners differ in length, are empty, or are inverted.
     pub fn new(lo: Vec<f64>, hi: Vec<f64>) -> Self {
-        assert_eq!(lo.len(), hi.len(), "corner dimensionality mismatch");
-        assert!(!lo.is_empty(), "rectangles need at least one dimension");
-        for (l, h) in lo.iter().zip(&hi) {
-            assert!(l <= h, "inverted rectangle: lo {l} > hi {h}");
-        }
+        check_corners(&lo, &hi);
         Rect { lo: lo.into_boxed_slice(), hi: hi.into_boxed_slice() }
     }
 

@@ -39,8 +39,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::geometry::{
-    coords_area, coords_margin, coords_overlap_area, coords_scan_intersecting, coords_scan_within,
-    coords_union_area, Rect,
+    check_corners, coords_area, coords_margin, coords_overlap_area, coords_scan_intersecting,
+    coords_scan_within, coords_union_area, Rect,
 };
 
 /// Cumulative structural-operation counters for one [`RStarTree`].
@@ -867,13 +867,28 @@ impl<T> RStarTree<T> {
     }
 
     /// Visits every item whose rectangle intersects `query`.
-    pub fn search_intersecting<'a, F>(&'a self, query: &Rect, mut visit: F)
+    pub fn search_intersecting<'a, F>(&'a self, query: &Rect, visit: F)
     where
         F: FnMut(&'a Rect, &'a T),
     {
-        assert_eq!(query.dims(), self.dims, "query dimensionality mismatch");
+        self.search_intersecting_box(query.lo(), query.hi(), visit);
+    }
+
+    /// [`Self::search_intersecting`] with the query box given by borrowed
+    /// corners, so a caller probing on every arrival can reuse its corner
+    /// buffers instead of building a [`Rect`].
+    ///
+    /// # Panics
+    /// Panics if the corners would not make a valid [`Rect`] or have the
+    /// wrong dimensionality.
+    pub fn search_intersecting_box<'a, F>(&'a self, qlo: &[f64], qhi: &[f64], mut visit: F)
+    where
+        F: FnMut(&'a Rect, &'a T),
+    {
+        check_corners(qlo, qhi);
+        assert_eq!(qlo.len(), self.dims, "query dimensionality mismatch");
         let mut visits = 0;
-        self.search_rec(self.root, query.lo(), query.hi(), &mut visits, &mut visit);
+        self.search_rec(self.root, qlo, qhi, &mut visits, &mut visit);
         bump(&self.counters.node_visits, visits);
     }
 
@@ -1387,6 +1402,39 @@ mod tests {
         let mut vals: Vec<&str> = hits.iter().map(|(_, v)| **v).collect();
         vals.sort_unstable();
         assert_eq!(vals, vec!["a", "c"]);
+    }
+
+    /// The borrowed-corner search visits exactly what the `Rect` search
+    /// visits, in the same order, and keeps `Rect::new`'s checks.
+    #[test]
+    fn search_intersecting_box_matches_rect_search() {
+        let mut tree = RStarTree::with_params(2, Params::new(8));
+        let mut seed = 7;
+        for i in 0..300u32 {
+            tree.insert(random_rect(&mut seed, 2), i);
+        }
+        for _ in 0..20 {
+            let q = random_rect(&mut seed, 2);
+            let mut by_rect = Vec::new();
+            tree.search_intersecting(&q, |_, &v| by_rect.push(v));
+            let mut by_box = Vec::new();
+            tree.search_intersecting_box(q.lo(), q.hi(), |_, &v| by_box.push(v));
+            assert_eq!(by_rect, by_box);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inverted rectangle")]
+    fn search_intersecting_box_rejects_inverted_corners() {
+        let tree: RStarTree<u32> = RStarTree::new(2);
+        tree.search_intersecting_box(&[1.0, 0.0], &[0.0, 1.0], |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimensionality mismatch")]
+    fn search_intersecting_box_rejects_wrong_dims() {
+        let tree: RStarTree<u32> = RStarTree::new(2);
+        tree.search_intersecting_box(&[0.0], &[1.0], |_, _| {});
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! deterministic adversarial fixture set: denormal extents, huge extents,
 //! touching boundaries, degenerate points, and deeply nested boxes.
 //!
-//! The same file compiles against both feature legs, so CI's
-//! feature-matrix job proves the scalar and vector paths cannot drift.
+//! `geometry::scalar` is the reference implementation the chunked
+//! primitives must never drift from; this suite is what holds them to it.
 
 use proptest::prelude::*;
 use stardust_index::geometry::{
